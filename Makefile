@@ -29,6 +29,9 @@
 #                       -debug seek+dump session, a campaign run that must
 #                       embed forensic reports, and a comparator pass over
 #                       the forensic-bearing output
+#   make bench-smoke    the repository benchmark's own tests, then a short
+#                       seed-1 run of each of its workloads, which must check
+#                       correct against bench/golden/ with no failed job
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -57,9 +60,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug
+.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke
 
-ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug
+ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke
 
 build:
 	$(GO) build ./...
@@ -170,3 +173,21 @@ debug:
 	grep -q '"forensics"' /tmp/BENCH_debug_forensics.json
 	$(GO) run ./cmd/sensmart-bench -exp compare -old /tmp/BENCH_debug_forensics.json \
 		-new /tmp/BENCH_debug_forensics.json -tolerance 5
+
+# Repository-benchmark smoke. bench/ is a module of its own, so the root
+# `go test ./...` skips its tests; run them here. Then run every workload for
+# two seconds at seed 1, where each job's result line (simulated cycles,
+# instructions, verdicts, landed-state hashes, snapshot digests) is checked
+# against bench/golden/: a host-only change must leave them all equal. The
+# last line a run prints is its JSON result, whose keys are sorted.
+BENCH_WORKLOADS = fig5 fig7 campaign seek
+
+bench-smoke:
+	cd bench && $(GO) test ./...
+	@set -e; for w in $(BENCH_WORKLOADS); do \
+		line="$$(bash bench/run.sh --workload $$w --seed 1 --seconds 2 | tail -n 1)"; \
+		case "$$line" in \
+		*'"correct":true,"failed":0,'*) echo "bench-smoke $$w: correct, 0 failed";; \
+		*) echo "bench-smoke $$w: $$line"; exit 1;; \
+		esac; \
+	done

@@ -114,15 +114,17 @@ type Runtime struct {
 	M   *mcu.Machine
 	img *Image
 
-	// ServiceCalls counts service invocations by class.
-	ServiceCalls map[rewriter.Class]uint64
+	// ServiceCalls counts service invocations, indexed by rewriter.Class. A
+	// flat array, like kernel.Stats.ServiceCalls: the increment sits on the
+	// per-trap hot path.
+	ServiceCalls [16]uint64
 	exited       bool
 }
 
 // NewRuntime loads img at flash base 0 (t-kernel keeps the application's
 // vector table in place) and attaches the runtime.
 func NewRuntime(m *mcu.Machine, img *Image) (*Runtime, error) {
-	r := &Runtime{M: m, img: img, ServiceCalls: make(map[rewriter.Class]uint64)}
+	r := &Runtime{M: m, img: img}
 	words := append([]uint16(nil), img.Nat.Program.Words...)
 	// Base 0: relocations are identity; KTRAP ids are already local.
 	if err := m.LoadFlash(0, words); err != nil {

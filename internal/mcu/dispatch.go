@@ -29,7 +29,7 @@ type execFn func(m *Machine, u *uop) error
 
 // uop is one executable micro-op cache entry. It is deliberately pointer-free
 // — the handler lives in the global dispatch table, indexed by in.Op — so the
-// garbage collector never scans the per-machine caches (64 Ki entries each).
+// garbage collector never scans the micro-op pages.
 // An entry with in.Op == OpInvalid (the zero value) has not been built yet.
 type uop struct {
 	in     avr.Inst // original decoded instruction (InstAt, skip, diagnostics)
@@ -151,7 +151,10 @@ func init() {
 // buildUop decodes the flash word at (masked) pc into its micro-op cache
 // slot. Decode errors are not cached, matching the old fetch.
 func (m *Machine) buildUop(pc uint32) error {
-	in, err := avr.Decode(m.flash[pc:min(int(pc)+2, FlashWords)])
+	// The operand word of a two-word instruction may sit on the next page;
+	// the last flash word has none.
+	ws := [2]uint16{m.FlashWord(pc), m.FlashWord(pc + 1)}
+	in, err := avr.Decode(ws[:min(FlashWords-int(pc), 2)])
 	if err != nil {
 		return err
 	}
@@ -159,8 +162,7 @@ func (m *Machine) buildUop(pc uint32) error {
 		// Without a kernel, BREAK is BREAK; the next word is unrelated.
 		in = avr.Inst{Op: avr.OpBreak}
 	}
-	m.ownUops()
-	u := &m.uops[pc]
+	u := &ownPage(&m.uops, pageOf(pc)).v[pc%pageWords]
 	words, cycles := in.Op.Meta()
 	*u = uop{in: in, d: in.Dst, s: in.Src, cycles: uint8(cycles)}
 	u.next = (pc + uint32(words)) & (FlashWords - 1)

@@ -66,6 +66,33 @@ main:
 		}
 	})
 
+	t.Run("lds across pages", func(t *testing.T) {
+		// The LDS opcode is the last word of page 0 and its operand the
+		// first word of page 1; the patch writes page 1 only.
+		m := load(t, `
+main:
+    jmp far
+.org 0xFF
+far:
+    lds r16, 0x0200
+    break
+`)
+		m.Poke(0x0200, 11)
+		m.Poke(0x0204, 22)
+		m.SetSP(0x10FF)
+		runUntilBreak(t, m, 100_000)
+		if got := m.Reg(16); got != 11 {
+			t.Fatalf("first run: r16 = %d, want 11", got)
+		}
+		if err := m.LoadFlash(pageWords, []uint16{0x0204}); err != nil {
+			t.Fatal(err)
+		}
+		reRun(t, m)
+		if got := m.Reg(16); got != 22 {
+			t.Fatalf("after second-page patch: r16 = %d, want 22 (stale uop operand)", got)
+		}
+	})
+
 	t.Run("call", func(t *testing.T) {
 		m := load(t, `
 main:

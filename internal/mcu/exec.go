@@ -134,7 +134,7 @@ func (m *Machine) PopWord() uint16 { return m.popWord() }
 // flashByte reads a byte from program memory (LPM semantics: the address is
 // a byte address; bit 0 selects low/high byte of the word).
 func (m *Machine) flashByte(z uint32) byte {
-	w := m.flash[(z>>1)&(FlashWords-1)]
+	w := m.FlashWord(z >> 1)
 	if z&1 != 0 {
 		return byte(w >> 8)
 	}

@@ -8,7 +8,7 @@ package mcu
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/avr"
 	"repro/internal/energy"
@@ -28,6 +28,75 @@ const (
 	IOBase = 0x20
 	// ClockHz is the MICA2 CPU clock (7.3728 MHz).
 	ClockHz = 7372800
+)
+
+// Per-machine program state — flash, the micro-op cache, and the block
+// translator's leader index — is held in page tables over pageWords-word
+// granules (twice the ATmega128's 128-word SPM page).
+// An absent page is the table's shared erased page: all zero, which reads as
+// erased flash (zero words decode as NOP), as unbuilt micro-ops, or as cold
+// leaders, with no nil test on the fetch path. A machine gets a page of its
+// own on the first write to it, so a naturalized image of a few hundred
+// words costs a handful of pages. Translated blocks never span a page
+// boundary, which keeps invalidation local and bounds block discovery walks.
+const (
+	pageShift = 8
+	pageWords = 1 << pageShift
+	numPages  = FlashWords / pageWords
+)
+
+// pageOf returns the page-table index of flash word address pc (masked, so
+// runaway PCs wrap exactly as the flat address space does); the word's offset
+// within its page is pc % pageWords.
+func pageOf(pc uint32) uint32 { return pc >> pageShift & (numPages - 1) }
+
+// page is one pageWords-entry granule of a page table. shared marks a page
+// reachable from more than one machine (AdoptImage) or an erased page: it is
+// never written again, and a writer copies it first. The flag is only ever
+// set, and is atomic because many children may adopt one quiescent parent
+// concurrently.
+type page[T any] struct {
+	v      [pageWords]T
+	shared atomic.Bool
+}
+
+// ownPage returns page i of tab ready for writing, replacing a shared (or
+// erased) page by a private copy first.
+func ownPage[T any](tab *[numPages]*page[T], i uint32) *page[T] {
+	p := tab[i]
+	if p.shared.Load() {
+		p = &page[T]{v: p.v}
+		tab[i] = p
+	}
+	return p
+}
+
+// sharePage marks p as shared and returns it. A page already shared (the
+// erased pages always are) is only read, so adopters never contend on it.
+func sharePage[T any](p *page[T]) *page[T] {
+	if !p.shared.Load() {
+		p.shared.Store(true)
+	}
+	return p
+}
+
+// erasedTable returns a page table whose every page is the erased page e.
+func erasedTable[T any](e *page[T]) (t [numPages]*page[T]) {
+	for i := range t {
+		t[i] = e
+	}
+	return t
+}
+
+// The erased pages and all-absent tables of the three page tables.
+var (
+	erasedFlash = sharePage(new(page[uint16]))
+	erasedUops  = sharePage(new(page[uop]))
+	erasedIdx   = sharePage(new(page[int32]))
+
+	erasedFlashTable = erasedTable(erasedFlash)
+	erasedUopTable   = erasedTable(erasedUops)
+	erasedIdxTable   = erasedTable(erasedIdx)
 )
 
 // Data-space addresses of the core registers.
@@ -63,15 +132,6 @@ type TrapHandler func(m *Machine, id uint16) error
 
 // Machine is one simulated node. The zero value is not usable; call New.
 type Machine struct {
-	// flash is held behind a pointer so machines restored from a snapshot
-	// can share the parent's immutable program image (AdoptImage).
-	// flashShared marks a shared array: any writer copies it first.
-	// adoptMu serializes AdoptImage calls against this machine as the
-	// parent, so many children can fan out of one warm parent concurrently.
-	flash       *[FlashWords]uint16
-	flashShared bool
-	adoptMu     sync.Mutex
-
 	data  [DataSize]byte
 	pc    uint32
 	cycle uint64
@@ -135,21 +195,7 @@ type Machine struct {
 
 	dev devices
 
-	// Micro-op cache: code is immutable while running (the paper's
-	// no-self-modification assumption), so each flash word predecodes once
-	// into an executable uop (see dispatch.go). An entry whose in.Op is
-	// OpInvalid (the zero value) has not been built or was invalidated —
-	// the validity check rides on the same cache line as the entry itself.
-	// The fixed-size array lets a pc & (FlashWords-1) index elide its
-	// bounds check, and the pointer-free uop keeps the 64 Ki entries out
-	// of garbage-collector scans.
-	uops *[FlashWords]uop
-	// uopsShared marks a micro-op cache shared with another machine via
-	// AdoptImage: a machine that needs to fill or flush entries copies (or
-	// reallocates) the array first, so concurrently running machines never
-	// write a shared array.
-	uopsShared bool
-	codeEnd    uint32 // highest loaded word + 1, for diagnostics
+	codeEnd uint32 // highest loaded word + 1, for diagnostics
 
 	// xl, when non-nil, is the basic-block superinstruction translator
 	// (translate.go): hot straight-line runs between control transfers
@@ -176,56 +222,54 @@ type Machine struct {
 	// quantizes to the same loop boundaries an attached sampler sees.
 	ckptFn func(at uint64)
 	ckptAt uint64
+
+	// The program image. Its 4 KB of page tables sit last, so they do not
+	// spread the per-instruction fields above over more cache lines. flash
+	// is program memory, paged so machines restored from a snapshot can
+	// share the parent's immutable image page by page (AdoptImage). digest
+	// caches the image's SHA-256 (flashHash) while digestOK holds;
+	// LoadFlash clears it.
+	flash    [numPages]*page[uint16]
+	digest   [32]byte
+	digestOK bool
+
+	// Micro-op cache: code is immutable while running (the paper's
+	// no-self-modification assumption), so each flash word predecodes once
+	// into an executable uop (see dispatch.go). An entry whose in.Op is
+	// OpInvalid (the zero value) has not been built or was invalidated —
+	// the validity check rides on the same cache line as the entry itself.
+	// Pages are shared with adopting machines like flash pages, and the
+	// pointer-free uop keeps them out of garbage-collector scans.
+	uops [numPages]*page[uop]
 }
 
-// New returns a reset machine with empty flash.
+// New returns a reset machine with empty (erased) flash.
 func New() *Machine {
 	m := &Machine{
-		flash: new([FlashWords]uint16),
-		uops:  new([FlashWords]uop),
+		flash: erasedFlashTable,
+		uops:  erasedUopTable,
 		xl:    newTranslator(DefaultTranslationThreshold),
 	}
 	m.Reset()
 	return m
 }
 
-// ownFlash copies a shared flash array before the first write to it.
-func (m *Machine) ownFlash() {
-	if m.flashShared {
-		f := new([FlashWords]uint16)
-		*f = *m.flash
-		m.flash = f
-		m.flashShared = false
-	}
-}
-
-// ownUops copies a shared micro-op cache before the first write to it.
-func (m *Machine) ownUops() {
-	if m.uopsShared {
-		u := new([FlashWords]uop)
-		*u = *m.uops
-		m.uops = u
-		m.uopsShared = false
-	}
-}
-
-// AdoptImage shares parent's flash and predecoded micro-op cache with m,
-// copy-on-write: both machines keep executing from the same arrays until one
-// of them writes (LoadFlash, a cache fill, SetTrapHandler), at which point
-// the writer copies its own private array first. The parent must be
+// AdoptImage replaces m's program image with parent's, sharing its flash and
+// predecoded micro-op pages copy-on-write: both machines keep executing from
+// the same pages until one of them writes a page (LoadFlash, a cache fill),
+// at which point the writer copies that page alone. The parent must be
 // quiescent (not inside Run/Step), but many children may adopt the same
-// parent from different goroutines — adopters serialize on the parent's
-// mutex, and after adoption the shared arrays are only ever read. The caller
-// is responsible for m's flash contents matching parent's — RestoreState's
-// image hash enforces this on the snapshot path.
+// parent from different goroutines: adoption only reads the parent and
+// marks its pages shared. The caller is responsible for m's flash contents
+// matching parent's — RestoreState's image hash enforces this on the
+// snapshot path — and m inherits parent's image digest when it has one.
 func (m *Machine) AdoptImage(parent *Machine) {
-	parent.adoptMu.Lock()
-	defer parent.adoptMu.Unlock()
-	m.flash = parent.flash
-	m.uops = parent.uops
+	for i := range parent.flash {
+		m.flash[i] = sharePage(parent.flash[i])
+		m.uops[i] = sharePage(parent.uops[i])
+	}
 	m.codeEnd = parent.codeEnd
-	m.flashShared, m.uopsShared = true, true
-	parent.flashShared, parent.uopsShared = true, true
+	m.digest, m.digestOK = parent.digest, parent.digestOK
 	// Translated blocks fuse decoded flash contents; any the adopter built
 	// against its previous image are stale now. The parent's blocks stay:
 	// its image is unchanged (and the translator is never shared).
@@ -271,15 +315,21 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 	if int(base)+len(words) > FlashWords {
 		return fmt.Errorf("mcu: flash overflow: base %#x + %d words", base, len(words))
 	}
-	m.ownFlash()
-	m.ownUops()
-	copy(m.flash[base:], words)
-	clear(m.uops[base : int(base)+len(words)])
-	// A cached 32-bit instruction starting at base-1 holds the old word at
-	// base as its operand word; invalidate it so the patched word is seen.
-	if base > 0 {
-		m.uops[base-1] = uop{}
+	end := base + uint32(len(words))
+	for pc := base; pc < end; {
+		off := pc % pageWords
+		n := min(pageWords-off, end-pc)
+		copy(ownPage(&m.flash, pageOf(pc)).v[off:off+n], words[pc-base:])
+		m.invalidateUops(pc, n)
+		pc += n
 	}
+	// A cached 32-bit instruction starting at base-1 (possibly on the
+	// previous page) holds the old word at base as its operand word;
+	// invalidate it so the patched word is seen.
+	if base > 0 {
+		m.invalidateUops(base-1, 1)
+	}
+	m.digestOK = false
 	// Translated blocks fuse decoded words the same way; kill every block
 	// overlapping the patched range (a block's [leader, end) span covers
 	// operand words, so the base-1 case above is covered by overlap).
@@ -292,26 +342,38 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 	return nil
 }
 
+// invalidateUops unbuilds the n cached micro-ops from word pc, which all lie
+// on one page. An absent page has nothing built, and a page invalidated
+// whole is dropped rather than copied or cleared.
+func (m *Machine) invalidateUops(pc, n uint32) {
+	i := pageOf(pc)
+	switch {
+	case m.uops[i] == erasedUops:
+	case n == pageWords:
+		m.uops[i] = erasedUops
+	default:
+		off := pc % pageWords
+		clear(ownPage(&m.uops, i).v[off : off+n])
+	}
+}
+
 // FlashWord returns the program-memory word at addr.
-func (m *Machine) FlashWord(addr uint32) uint16 { return m.flash[addr&(FlashWords-1)] }
+func (m *Machine) FlashWord(addr uint32) uint16 {
+	return m.flash[pageOf(addr)].v[addr%pageWords]
+}
 
 // SetTrapHandler installs the kernel's KTRAP entry point. Without a handler
 // BREAK decodes as plain BREAK; with one, BREAK plus its following id word
-// decodes as KTRAP (the micro-op cache is flushed to apply the change).
+// decodes as KTRAP (the micro-op cache is dropped to apply the change).
 func (m *Machine) SetTrapHandler(h TrapHandler) {
 	m.trap = h
 	if m.xl != nil {
 		// Blocks fused under the old KTRAP decode rule are stale.
 		m.xl.reset()
 	}
-	if m.uopsShared {
-		// The flush would clobber the other sharer's cache; allocate a
-		// fresh zeroed array instead of copying one we are about to clear.
-		m.uops = new([FlashWords]uop)
-		m.uopsShared = false
-		return
-	}
-	clear(m.uops[:])
+	// Dropping every page leaves one shared with another machine intact
+	// for that machine.
+	m.uops = erasedUopTable
 }
 
 // SetRecorder attaches (or, with nil, detaches) the trace recorder the
@@ -522,12 +584,15 @@ func (m *Machine) faultf(kind FaultKind, addr uint16, note string) error {
 // the flash word on first execution.
 func (m *Machine) fetchUop(pc uint32) (*uop, error) {
 	pc &= FlashWords - 1
-	if m.uops[pc].in.Op == avr.OpInvalid {
+	u := &m.uops[pageOf(pc)].v[pc%pageWords]
+	if u.in.Op == avr.OpInvalid {
 		if err := m.buildUop(pc); err != nil {
 			return nil, err
 		}
+		// buildUop gave the page a private copy; look the entry up again.
+		u = &m.uops[pageOf(pc)].v[pc%pageWords]
 	}
-	return &m.uops[pc], nil
+	return u, nil
 }
 
 // fetch returns the decoded instruction at word address pc.
@@ -597,7 +662,7 @@ func (m *Machine) RunUntil(limit uint64) error {
 		// runTranslated only runs a block whose worst case fits strictly
 		// inside the horizon and cycle budget, so afterwards the clock is
 		// still short of both; the re-check is defensive.
-		if m.xl != nil && m.xl.idx[m.pc&(FlashWords-1)] != xlDead {
+		if m.xl != nil && m.xl.at(m.pc) != xlDead {
 			halt, err := m.runTranslated(limit)
 			if err != nil {
 				return err
@@ -616,14 +681,14 @@ func (m *Machine) RunUntil(limit uint64) error {
 		// re-examined before the next instruction.
 		for {
 			pc := m.pc & (FlashWords - 1)
-			u := &m.uops[pc]
+			u := &m.uops[pageOf(pc)].v[pc%pageWords]
 			if u.in.Op == avr.OpInvalid {
 				if err := m.buildUop(pc); err != nil {
 					return m.faultf(FaultBadInst, 0, err.Error())
 				}
-				// buildUop may have copied a shared cache out from under
-				// us (copy-on-write); re-point at the live array.
-				u = &m.uops[pc]
+				// buildUop gave the page a private copy (copy-on-write);
+				// re-point at the live page.
+				u = &m.uops[pageOf(pc)].v[pc%pageWords]
 			}
 			m.insts++
 			// Direct calls for the hottest opcodes (measured over the kernel
@@ -666,7 +731,7 @@ func (m *Machine) RunUntil(limit uint64) error {
 			// dispatch translated blocks (counting the landing) before
 			// falling back to per-op execution. The inline idx probe skips
 			// the call when the landing is already known untranslatable.
-			if u.ctl && m.xl != nil && m.xl.idx[m.pc&(FlashWords-1)] != xlDead {
+			if u.ctl && m.xl != nil && m.xl.at(m.pc) != xlDead {
 				halt, err := m.runTranslated(limit)
 				if err != nil {
 					return err

@@ -83,24 +83,29 @@ type MachineState struct {
 	Dev DeviceState
 }
 
-// flashHash digests the current flash contents (little-endian words).
+// flashHash returns the SHA-256 of the whole flash image (all FlashWords
+// words, little-endian). It is computed once per image and kept until the
+// next LoadFlash.
 func (m *Machine) flashHash() [32]byte {
+	if m.digestOK {
+		return m.digest
+	}
 	h := sha256.New()
-	var buf [512]byte
-	for i := 0; i < FlashWords; i += 256 {
-		for j, w := range m.flash[i : i+256] {
+	var buf [2 * pageWords]byte
+	for _, p := range m.flash {
+		for j, w := range p.v {
 			buf[2*j] = byte(w)
 			buf[2*j+1] = byte(w >> 8)
 		}
 		h.Write(buf[:])
 	}
-	var out [32]byte
-	h.Sum(out[:0])
-	return out
+	h.Sum(m.digest[:0])
+	m.digestOK = true
+	return m.digest
 }
 
-// CaptureState snapshots the machine's execution and device state. It is
-// read-only — capturing never perturbs the run — and deep-copies every
+// CaptureState snapshots the machine's execution and device state. It never
+// perturbs the run (it at most caches the image digest) and deep-copies every
 // buffer, so the returned state stays valid while the machine keeps running.
 // It fails if unserializable hooks are attached (custom ADC source, armed
 // fault injector).

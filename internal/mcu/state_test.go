@@ -2,7 +2,10 @@ package mcu
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"errors"
+	"slices"
+	"sync"
 	"testing"
 )
 
@@ -192,6 +195,49 @@ func TestRestoreRejectsImageMismatch(t *testing.T) {
 	}
 }
 
+// TestFlashDigestTracksImage: the image digest is computed once per image
+// and kept, so it must equal the SHA-256 of the whole flat flash image, every
+// flash write must drop it (a stale digest would let a snapshot restore onto
+// a patched image), and an adopting machine inherits its parent's.
+func TestFlashDigestTracksImage(t *testing.T) {
+	m := load(t, stateWorkSrc)
+	st, err := m.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	flat := make([]byte, 2*FlashWords)
+	for i := range FlashWords {
+		w := m.FlashWord(uint32(i))
+		flat[2*i], flat[2*i+1] = byte(w), byte(w>>8)
+	}
+	if st.FlashHash != sha256.Sum256(flat) {
+		t.Fatal("flash digest differs from the SHA-256 of the flat image")
+	}
+
+	w := m.FlashWord(5)
+	if err := m.LoadFlash(5, []uint16{w ^ 1}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
+		t.Errorf("restore onto a patched image: %v, want ErrImageMismatch", err)
+	}
+	if err := m.LoadFlash(5, []uint16{w}); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.RestoreState(st); err != nil {
+		t.Fatalf("restore after undoing the patch: %v", err)
+	}
+
+	child := New()
+	child.AdoptImage(m)
+	if !child.digestOK || child.digest != st.FlashHash {
+		t.Error("AdoptImage did not inherit the parent's digest")
+	}
+	if err := child.RestoreState(st); err != nil {
+		t.Errorf("restore onto an adopted image: %v", err)
+	}
+}
+
 // TestRestoreRejectsBadGeometry: a snapshot with a truncated data segment or
 // a mismatched sampler interval must be refused.
 func TestRestoreRejectsBadGeometry(t *testing.T) {
@@ -214,37 +260,101 @@ func TestRestoreRejectsBadGeometry(t *testing.T) {
 	}
 }
 
-// TestAdoptImageCopyOnWrite: after AdoptImage the two machines share flash
-// and micro-op arrays; a SetTrapHandler or LoadFlash on either side must
-// split the sharing without corrupting the other machine.
+// TestAdoptImageCopyOnWrite: after AdoptImage the two machines share every
+// flash and micro-op page; a LoadFlash on the child must copy only the page
+// it writes, leave the parent's words and micro-ops untouched, and many
+// children must be able to adopt one parent and run concurrently.
 func TestAdoptImageCopyOnWrite(t *testing.T) {
 	parent := load(t, stateWorkSrc)
-	wantUART, _, wantCycles, _ := finishWork(t, parent)
+	wantUART, wantRadio, wantCycles, wantInsts := finishWork(t, parent)
 
 	child := New()
 	child.AdoptImage(parent)
-	if child.flash != parent.flash || child.uops != parent.uops {
-		t.Fatal("AdoptImage did not share the arrays")
+	for i := range parent.flash {
+		if child.flash[i] != parent.flash[i] || child.uops[i] != parent.uops[i] {
+			t.Fatalf("AdoptImage did not share page %d", i)
+		}
 	}
-	// A flash write on the child must split the image and leave the parent's
-	// contents untouched.
-	word0 := parent.flash[0]
+	if parent.flash[0] == erasedFlash || parent.uops[0] == erasedUops {
+		t.Fatal("parent run left page 0 unallocated")
+	}
+	flash0, uops0 := parent.flash[0].v, parent.uops[0].v
+	parentFlash0, parentUops0 := parent.flash[0], parent.uops[0]
+
+	// Patch a word in page 1 (absent in the parent: the image is one page)
+	// and one in page 0.
+	if parent.flash[1] != erasedFlash {
+		t.Fatalf("stateWorkSrc spans more than page 0")
+	}
+	if err := child.LoadFlash(pageWords+3, []uint16{0x1234}); err != nil {
+		t.Fatal(err)
+	}
 	if err := child.LoadFlash(0, []uint16{0x1234}); err != nil {
 		t.Fatal(err)
 	}
-	if child.flash == parent.flash {
-		t.Error("LoadFlash on an adopted image did not copy-on-write")
+	if child.flash[0] == parent.flash[0] || child.uops[0] == parent.uops[0] {
+		t.Error("LoadFlash into a shared page did not copy it")
 	}
-	if parent.flash[0] != word0 {
-		t.Error("LoadFlash on the child leaked into the parent's flash")
+	if child.flash[1] == erasedFlash || parent.flash[1] != erasedFlash {
+		t.Error("LoadFlash into an absent page did not allocate it privately")
+	}
+	for i := 2; i < numPages; i++ {
+		if child.flash[i] != parent.flash[i] || child.uops[i] != parent.uops[i] {
+			t.Fatalf("LoadFlash into pages 0-1 unshared page %d", i)
+		}
+	}
+	if child.FlashWord(0) != 0x1234 || child.FlashWord(1) != flash0[1] {
+		t.Errorf("child page 0 = %#x %#x, want the patch over the parent's words",
+			child.FlashWord(0), child.FlashWord(1))
+	}
+	if parent.flash[0] != parentFlash0 || parent.uops[0] != parentUops0 ||
+		parent.flash[0].v != flash0 || parent.uops[0].v != uops0 {
+		t.Error("LoadFlash on the child changed the parent's page 0")
 	}
 
-	// A fresh child that keeps the shared image must run identically.
-	sib := load(t, stateWorkSrc)
-	sib.AdoptImage(parent)
-	gotUART, _, gotCycles, _ := finishWork(t, sib)
-	if !bytes.Equal(gotUART, wantUART) || gotCycles != wantCycles {
-		t.Errorf("adopted child run = %q/%d cycles, want %q/%d", gotUART, gotCycles, wantUART, wantCycles)
+	// Eight fresh children adopt the parent concurrently and run the image;
+	// each must finish exactly like the parent did (run under -race).
+	type result struct {
+		err    error
+		uart   []byte
+		radio  []RadioFrame
+		cycles uint64
+		insts  uint64
+		data   [DataSize]byte
+	}
+	res := make([]result, 8)
+	var wg sync.WaitGroup
+	for i := range res {
+		wg.Add(1)
+		go func(r *result) {
+			defer wg.Done()
+			m := New()
+			m.AdoptImage(parent)
+			var f *Fault
+			if err := m.Run(10_000_000); !errors.As(err, &f) || f.Kind != FaultBreak {
+				r.err = err
+				return
+			}
+			m.fault = nil
+			m.AddCycles(UARTByteCycles + RadioByteCycles)
+			m.FlushDevices()
+			r.uart, r.radio, r.cycles, r.insts, r.data =
+				m.UARTOutput(), m.RadioOutput(), m.cycle, m.insts, m.data
+		}(&res[i])
+	}
+	wg.Wait()
+	for i, r := range res {
+		if r.err != nil {
+			t.Fatalf("adopter %d: expected clean BREAK stop, got %v", i, r.err)
+		}
+		if !bytes.Equal(r.uart, wantUART) || !slices.Equal(r.radio, wantRadio) ||
+			r.cycles != wantCycles || r.insts != wantInsts || r.data != parent.data {
+			t.Errorf("adopter %d = %q/%d cycles/%d insts, want %q/%d/%d (or data/radio differ)",
+				i, r.uart, r.cycles, r.insts, wantUART, wantCycles, wantInsts)
+		}
+	}
+	if parent.flash[0] != parentFlash0 || parent.flash[0].v != flash0 || parent.uops[0].v != uops0 {
+		t.Error("concurrent adopters changed the parent's page 0")
 	}
 }
 

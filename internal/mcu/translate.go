@@ -52,11 +52,6 @@ const (
 	// cycles for a UART byte), keeping the one-check-per-block precheck
 	// meaningful.
 	maxBlockOps = 64
-	// pageWords is the flash-page granule; blocks never span a page
-	// boundary, which keeps invalidation reasoning local (mirrors the
-	// ATmega128's 128-word SPM page, rounded up to a power of two that
-	// also bounds block discovery walks).
-	pageWords = 256
 	// xlDead marks a leader whose block is untranslatable (starts at a
 	// checked/undecodable op, or contains no fusible body).
 	xlDead = int32(-1) << 30
@@ -193,10 +188,9 @@ type block struct {
 // translator is the per-machine block cache. idx maps each flash word to its
 // translation state: 0 = never landed on, negative = landing countdown
 // toward the threshold, xlDead = untranslatable, positive = 1-based index
-// into blocks. The array is private to its machine (never shared by
-// AdoptImage), so block dispatch needs no ownership checks.
+// into blocks. It is paged like flash (an absent page is all cold leaders)
+// and private to its machine (never shared by AdoptImage).
 type translator struct {
-	idx       *[FlashWords]int32
 	blocks    []*block
 	free      []int32 // reusable nil slots in blocks (indices stay stable)
 	threshold int32
@@ -205,11 +199,19 @@ type translator struct {
 	invalidated uint64
 	dispatches  uint64
 	fusedInsts  uint64
+
+	idx [numPages]*page[int32]
 }
 
 func newTranslator(threshold int32) *translator {
-	return &translator{idx: new([FlashWords]int32), threshold: threshold}
+	return &translator{idx: erasedIdxTable, threshold: threshold}
 }
+
+// at returns the translation state of the word at pc.
+func (x *translator) at(pc uint32) int32 { return x.idx[pageOf(pc)].v[pc%pageWords] }
+
+// set records the translation state of the word at pc.
+func (x *translator) set(pc uint32, e int32) { ownPage(&x.idx, pageOf(pc)).v[pc%pageWords] = e }
 
 // reset drops every block and landing counter (image swap, trap-handler
 // change, snapshot restore). Cumulative stats survive; live blocks count as
@@ -222,7 +224,7 @@ func (x *translator) reset() {
 	}
 	x.blocks = x.blocks[:0]
 	x.free = x.free[:0]
-	*x.idx = [FlashWords]int32{}
+	x.idx = erasedIdxTable
 }
 
 // invalidate kills every block overlapping the flash words [base, end).
@@ -234,7 +236,7 @@ func (x *translator) reset() {
 func (x *translator) invalidate(base, end uint32) {
 	for i, b := range x.blocks {
 		if b != nil && b.leader < end && b.end > base {
-			x.idx[b.leader] = 0
+			x.set(b.leader, 0)
 			x.blocks[i] = nil
 			x.free = append(x.free, int32(i))
 			x.invalidated++
@@ -244,9 +246,9 @@ func (x *translator) invalidate(base, end uint32) {
 	if lo > 0 {
 		lo--
 	}
-	for p := lo; p < end && p < FlashWords; p++ {
-		if x.idx[p] < 0 {
-			x.idx[p] = 0
+	for pc := lo; pc < end && pc < FlashWords; pc++ {
+		if x.at(pc) < 0 {
+			x.set(pc, 0)
 		}
 	}
 }
@@ -783,7 +785,7 @@ func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 loop:
 	for {
 		pc := m.pc & (FlashWords - 1)
-		e := x.idx[pc]
+		e := x.at(pc)
 		if e <= 0 {
 			if e == xlDead {
 				m.data[addrSREG] = sreg
@@ -791,13 +793,13 @@ loop:
 			}
 			e--
 			if -e < x.threshold {
-				x.idx[pc] = e
+				x.set(pc, e)
 				m.data[addrSREG] = sreg
 				break
 			}
 			nb := m.translateBlock(pc)
 			if nb == nil {
-				x.idx[pc] = xlDead
+				x.set(pc, xlDead)
 				m.data[addrSREG] = sreg
 				break
 			}
@@ -811,7 +813,7 @@ loop:
 				x.blocks = append(x.blocks, nb)
 				e = int32(len(x.blocks))
 			}
-			x.idx[pc] = e
+			x.set(pc, e)
 		}
 		b = x.blocks[e-1]
 		if m.cycle+uint64(b.wcet) >= stop {
@@ -1316,13 +1318,10 @@ loop:
 			m.insts += done
 			fused += done
 			done = 0
-			tu := &m.uops[b.termPC]
-			if tu.in.Op == avr.OpInvalid {
-				if berr := m.buildUop(b.termPC); berr != nil {
-					err = m.faultf(FaultBadInst, 0, berr.Error())
-					break loop
-				}
-				tu = &m.uops[b.termPC]
+			tu, ferr := m.fetchUop(b.termPC)
+			if ferr != nil {
+				err = m.faultf(FaultBadInst, 0, ferr.Error())
+				break loop
 			}
 			if terr := dispatch[byte(tu.in.Op)](m, tu); terr != nil {
 				err = terr

@@ -237,11 +237,13 @@ loop:
     break
 `
 
-// FuzzBlockInvalidation writes a random flash word mid-run and requires that
-// fused execution (threshold 1) never diverges from the checked interpreter:
-// both see the patch at the same cycle boundary, both re-decode it, and both
+// FuzzBlockInvalidation loads the (position-independent) workload at a
+// random base, writes a random flash word mid-run, and requires that fused
+// execution (threshold 1) never diverges from the checked interpreter: both
+// see the patch at the same cycle boundary, both re-decode it, and both
 // finish in bit-identical state (or fail with the same fault at the same
-// point, when the patch corrupts the program).
+// point, when the patch corrupts the program). Bases near a page boundary
+// split the loop across two pages, so patches land on either side of it.
 func FuzzBlockInvalidation(f *testing.F) {
 	p, err := asm.Assemble("fuzz-patch", fuzzPatchSrc)
 	if err != nil {
@@ -249,19 +251,23 @@ func FuzzBlockInvalidation(f *testing.F) {
 	}
 	codeLen := uint32(len(p.Words))
 
-	f.Add(uint32(8), uint16(0x0000), uint32(500))  // NOP over a body op
-	f.Add(uint32(15), uint16(0x0204), uint32(800)) // LDS operand word
-	f.Add(uint32(18), uint16(0xF7F1), uint32(300)) // rewrite the loop branch
-	f.Add(uint32(9), uint16(0x9508), uint32(1000)) // RET into the loop body
+	f.Add(uint32(0), uint32(8), uint16(0x0000), uint32(500))  // NOP over a body op
+	f.Add(uint32(0), uint32(15), uint16(0x0204), uint32(800)) // STS operand word
+	f.Add(uint32(0), uint32(18), uint16(0xF7F1), uint32(300)) // rewrite the loop branch
+	f.Add(uint32(0), uint32(9), uint16(0x9508), uint32(1000)) // RET into the loop body
+	// The LDS at word 16 straddles words 0x00FF/0x0100; patch only its
+	// operand word, on the second page.
+	f.Add(uint32(0xFF-16), uint32(17), uint16(0x0204), uint32(800))
 
-	f.Fuzz(func(t *testing.T, word uint32, val uint16, patchAt uint32) {
-		word %= codeLen
+	f.Fuzz(func(t *testing.T, base, word uint32, val uint16, patchAt uint32) {
+		base %= 2 * pageWords
+		word = base + word%codeLen
 		// Stop both machines at the same mid-run cycle boundary, patch the
 		// same word, and run to completion.
 		patchCycle := 100 + uint64(patchAt%5000)
 		run := func(fused bool) (*Machine, error) {
 			m := New()
-			if err := m.LoadFlash(0, p.Words); err != nil {
+			if err := m.LoadFlash(base, p.Words); err != nil {
 				t.Fatal(err)
 			}
 			if fused {
@@ -270,6 +276,7 @@ func FuzzBlockInvalidation(f *testing.F) {
 				m.SetTranslation(-1)
 				m.SetStepwise(true)
 			}
+			m.SetPC(base)
 			m.SetSP(0x10FF)
 			if err := m.Run(patchCycle); err != nil {
 				return m, err
