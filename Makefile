@@ -32,6 +32,8 @@
 #   make bench-smoke    the repository benchmark's own tests, then a short
 #                       seed-1 run of each of its workloads, which must check
 #                       correct against bench/golden/ with no failed job
+#   make bench-golden   regenerate every workload's seed-1 result lines and
+#                       compare them byte for byte with bench/golden/
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -60,9 +62,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke
+.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
 
-ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke
+ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
 
 build:
 	$(GO) build ./...
@@ -190,4 +192,17 @@ bench-smoke:
 		*'"correct":true,"failed":0,'*) echo "bench-smoke $$w: correct, 0 failed";; \
 		*) echo "bench-smoke $$w: $$line"; exit 1;; \
 		esac; \
+	done
+
+# Full golden check. bench-smoke's two-second windows check only the jobs
+# they reach (about 100 of fig5's 800 result lines, 400 of campaign's 1500);
+# this regenerates every seed-1 line of every workload (about a minute) and
+# compares it with the committed file, so a host-only change that moves any
+# simulated result fails here.
+bench-golden:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for w in $(BENCH_WORKLOADS); do \
+		bash bench/run.sh --workload $$w --seed 1 --write-golden "$$tmp/$$w.txt"; \
+		cmp "$$tmp/$$w.txt" bench/golden/$$w.seed1.txt; \
+		echo "bench-golden $$w: $$(wc -l < "$$tmp/$$w.txt") lines identical"; \
 	done

@@ -51,9 +51,9 @@ type Forensic struct {
 //     fire cycle until their states first differ (timetravel.FirstDivergence);
 //     the lockstep endpoints supply the PCs, symbolized stack, and
 //     register/memory deltas at the divergence boundary.
-//  2. One more injected replay, this time with a trace recorder attached,
-//     runs straight to the divergence cycle to recover the last trace
-//     events leading up to it.
+//  2. One more injected replay, this time with a trace ring attached, runs
+//     straight to the divergence cycle to recover the last trace events
+//     leading up to it.
 func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturalized,
 	limit uint64, p plan, firedAt uint64) (*Forensic, error) {
 	clean, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(), nil, nil)
@@ -98,7 +98,10 @@ func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturali
 		}
 	}
 
-	rec := trace.New()
+	// The report needs only the tail, so the replay records into a ring one
+	// event longer than it: the extra slot holds the budget stamp dropped
+	// below.
+	rec := trace.NewLimited(forensicEvents + 1)
 	traced, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(),
 		func(o *outcome) { armPlan(o, p) }, rec)
 	if err != nil {
@@ -116,15 +119,10 @@ func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturali
 	if len(evs) > forensicEvents {
 		evs = evs[len(evs)-forensicEvents:]
 	}
-	names := trace.TaskNames(rec.Events())
-	name := func(id int32) string {
-		if n, ok := names[id]; ok {
-			return n
-		}
-		return fmt.Sprintf("task%d", id)
-	}
+	// The ring may have evicted the spawn events, so names come from the
+	// kernel's task table rather than from the stream.
 	for _, e := range evs {
-		f.LastEvents = append(f.LastEvents, e.Format(name))
+		f.LastEvents = append(f.LastEvents, e.Format(traced.k.TaskName))
 	}
 	return f, nil
 }

@@ -287,8 +287,11 @@ func (k *Kernel) logf(format string, args ...any) {
 	}
 }
 
-// taskName resolves a task id for event rendering.
-func (k *Kernel) taskName(id int32) string {
+// TaskName resolves a task id for event rendering (trace.Event.Format).
+// Task ids index the admission table, which only grows, so every id a
+// recorded event carries resolves — even once a bounded recorder has
+// evicted the task's spawn event.
+func (k *Kernel) TaskName(id int32) string {
 	if int(id) < len(k.Tasks) && id >= 0 {
 		return k.Tasks[id].Name
 	}
@@ -308,7 +311,7 @@ func (k *Kernel) ev(e trace.Event) {
 		switch e.Kind {
 		case trace.KindProgLoad, trace.KindTaskSpawn, trace.KindTaskExit,
 			trace.KindReloc, trace.KindBoot:
-			k.Cfg.Logf("%s", e.Format(k.taskName))
+			k.Cfg.Logf("%s", e.Format(k.TaskName))
 		}
 	}
 }

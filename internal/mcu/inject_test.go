@@ -2,6 +2,7 @@ package mcu
 
 import (
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -242,5 +243,187 @@ sub:
 	}
 	if pc := m.PC(); pc < 0x3F00 {
 		t.Errorf("corrupted return address not honoured: pc=%#x, want >= 0x3F00", pc)
+	}
+}
+
+// injectLoopSrc is kernel-shaped code for the injector identity test: a hot
+// ALU loop that fuses into translated blocks, a KTRAP after every inner loop
+// (a fused trap terminator), and Timer0 overflow interrupts every 2048
+// cycles (device events and interrupt delivery through Step). BREAK would
+// decode as a KTRAP once a trap handler is installed, so the program ends
+// with KTRAP 9, on which injectTrap halts. An injection that flips the inner
+// counter r22 changes how long the run lasts, so a fire point that moved
+// shows up in the final state.
+const injectLoopSrc = `
+    jmp main
+.org 2
+    jmp t0_isr
+main:
+    ldi r16, lo8(RAMEND)
+    out SPL, r16
+    ldi r16, hi8(RAMEND)
+    out SPH, r16
+    ldi r16, 1
+    out TIMSK, r16    ; enable TOV0 interrupt
+    ldi r16, 2        ; clk/8
+    out TCCR0, r16
+    sei
+    ldi r25, 40
+outer:
+    ldi r22, 200
+inner:
+    add r18, r22
+    adc r19, r1
+    eor r20, r18
+    dec r22
+    brne inner
+    ktrap 7
+    dec r25
+    brne outer
+    ktrap 9           ; done: the trap handler halts
+t0_isr:
+    push r16
+    in r16, SREG
+    inc r21
+    out SREG, r16
+    pop r16
+    reti
+`
+
+// injectTrap is injectLoopSrc's trap service: KTRAP 9 halts, any other
+// returns past the two-word trap after charging 3 cycles.
+func injectTrap(m *Machine, id uint16) error {
+	if id == 9 {
+		m.Halt("done")
+		return nil
+	}
+	m.SetPC(m.PC() + 2)
+	m.AddCycles(3)
+	return nil
+}
+
+// injectFire is what one injector firing observed.
+type injectFire struct {
+	cycle, insts uint64
+	pc           uint32
+}
+
+// injectRun is one finished run of injectLoopSrc under an execution mode.
+type injectRun struct {
+	m     *Machine
+	fires []injectFire
+	// fusedBeforeFire is the fused-dispatch count when the first injection
+	// fired.
+	fusedBeforeFire uint64
+}
+
+// runInjectMode runs injectLoopSrc under one execution mode (stepwise, or a
+// translation threshold: -1 off, 1 every landing, 0 the default) with the
+// injection plan arm installs. arm receives the machine and the injection
+// body, which records the firing and flips r22; it returns the trap handler
+// hook, called on every KTRAP service (nil for none).
+func runInjectMode(t *testing.T, stepwise bool, threshold int,
+	arm func(m *Machine, inject func(*Machine)) func(*Machine)) injectRun {
+	t.Helper()
+	m := load(t, injectLoopSrc)
+	m.SetStepwise(stepwise)
+	m.SetTranslation(threshold)
+	var r injectRun
+	inject := func(mm *Machine) {
+		if len(r.fires) == 0 {
+			r.fusedBeforeFire = mm.TranslationStats().FusedDispatches
+		}
+		r.fires = append(r.fires, injectFire{cycle: mm.Cycles(), insts: mm.Instructions(), pc: mm.PC()})
+		mm.SetReg(22, mm.Reg(22)^0x5A)
+	}
+	onTrap := arm(m, inject)
+	m.SetTrapHandler(func(mm *Machine, id uint16) error {
+		if onTrap != nil {
+			onTrap(mm)
+		}
+		return injectTrap(mm, id)
+	})
+	err := m.Run(1_000_000)
+	var f *Fault
+	if !errors.As(err, &f) || f.Kind != FaultHalt {
+		t.Fatalf("expected the KTRAP 9 halt, got %v (pc=%#x)", err, m.PC())
+	}
+	r.m = m
+	return r
+}
+
+// TestInjectorIdentityAcrossTiers requires an armed injector to fire at the
+// same boundary — same cycle, PC and retired-instruction count — and leave
+// the same final machine state whether the run steps every instruction,
+// runs the per-op fast loop, or fuses blocks. It also pins why that matters
+// for cost: with the default threshold the run dispatches fused blocks
+// while the injector waits, instead of stepping until it fires.
+func TestInjectorIdentityAcrossTiers(t *testing.T) {
+	// The first Timer0 overflow at or after cycle 30000, read off an
+	// uninjected probe: an injection due exactly where a device event is.
+	probe := load(t, injectLoopSrc)
+	probe.SetTrapHandler(injectTrap)
+	if err := probe.Run(30_000); err != nil {
+		t.Fatal(err)
+	}
+	deviceEvent := probe.dev.nextEvent
+
+	cases := []struct {
+		name  string
+		fires int
+		arm   func(m *Machine, inject func(*Machine)) func(*Machine)
+	}{
+		{"hot loop", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
+			m.SetInjector(20_011, inject)
+			return nil
+		}},
+		{"device event", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
+			m.SetInjector(deviceEvent, inject)
+			return nil
+		}},
+		{"re-arm chain", 3, func(m *Machine, inject func(*Machine)) func(*Machine) {
+			links := 0
+			var link func(*Machine)
+			link = func(mm *Machine) {
+				inject(mm)
+				if links++; links < 3 {
+					mm.SetInjector(mm.Cycles()+777*uint64(links), link)
+				}
+			}
+			m.SetInjector(15_000, link)
+			return nil
+		}},
+		{"armed by a trap service", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
+			traps := 0
+			return func(mm *Machine) {
+				if traps++; traps == 20 {
+					mm.SetInjector(mm.Cycles()+41, inject)
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			slow := runInjectMode(t, true, -1, tc.arm)
+			if len(slow.fires) != tc.fires {
+				t.Fatalf("stepwise run fired %d times, want %d", len(slow.fires), tc.fires)
+			}
+			for _, mode := range []struct {
+				name      string
+				threshold int
+			}{{"translation off", -1}, {"threshold 1", 1}, {"default threshold", 0}} {
+				got := runInjectMode(t, false, mode.threshold, tc.arm)
+				if !slices.Equal(got.fires, slow.fires) {
+					t.Errorf("%s: fired at %+v, stepwise at %+v", mode.name, got.fires, slow.fires)
+				}
+				requireSameState(t, mode.name, got.m, slow.m)
+				// The default mode keeps the fused tier while the injector
+				// is armed: blocks ran before the first firing.
+				if mode.threshold == 0 && got.fusedBeforeFire == 0 {
+					t.Errorf("default mode dispatched no fused block before the first firing: %+v",
+						got.m.TranslationStats())
+				}
+			}
+		})
 	}
 }

@@ -173,12 +173,12 @@ type Machine struct {
 	sampleNext  uint64
 
 	// injectFn, when non-nil, is an armed fault-injection hook: it fires at
-	// the first checked Step whose clock has reached injectAt, then disarms
-	// itself (the hook may re-arm from inside the callback to chain
-	// injections). Nil-disabled like rec and the profiler hooks, and checked
-	// only on the Step path — an armed injector forces Run/RunUntil off the
-	// event-horizon fast loop until it fires, and a disarmed one costs one
-	// pointer comparison per horizon.
+	// the first instruction boundary whose clock has reached injectAt, then
+	// disarms itself (the hook may re-arm from inside the callback to chain
+	// injections). It fires only in Step. Until then an armed injectAt is a
+	// cycle bound on the fast loop and fused blocks, exactly like the run's
+	// cycle budget, so they stop at that boundary and RunUntil hands it to
+	// Step; a disarmed hook costs one pointer comparison per horizon.
 	injectFn func(*Machine)
 	injectAt uint64
 
@@ -217,9 +217,9 @@ type Machine struct {
 	// first RunUntil outer-loop boundary whose clock has reached ckptAt,
 	// then disarms itself (the hook may re-arm from inside the callback to
 	// chain checkpoints). Unlike the injector it is never checked on the
-	// Step path and never forces execution off the event-horizon fast loop,
-	// so arming it cannot perturb the run's trajectory — the firing point
-	// quantizes to the same loop boundaries an attached sampler sees.
+	// Step path and never bounds the fast tiers, so arming it cannot perturb
+	// the run's trajectory — the firing point quantizes to the same loop
+	// boundaries an attached sampler sees.
 	ckptFn func(at uint64)
 	ckptAt uint64
 
@@ -455,12 +455,14 @@ func (m *Machine) fireSample() {
 }
 
 // SetInjector arms (or, with nil fn, disarms) the fault-injection hook: fn
-// runs once, at the first checked Step whose cycle clock has reached at,
-// with the machine stopped on an instruction boundary (after device sync,
-// before interrupt delivery and dispatch). The hook disarms itself before
-// firing, so fn may call SetInjector again to chain a later injection.
-// While armed, Run/RunUntil take the fully-checked Step path; disarmed, the
-// hook costs one pointer comparison per run-loop horizon.
+// runs once, in Step, at the first instruction boundary whose cycle clock
+// has reached at, with the machine stopped there (after device sync, before
+// interrupt delivery and dispatch). The hook disarms itself before firing,
+// so fn may call SetInjector again to chain a later injection. While armed,
+// Run/RunUntil keep the fast loop and fused blocks with at folded into their
+// cycle budget, so the boundary is the same one per-instruction stepping
+// would fire at; disarmed, the hook costs one pointer comparison per
+// run-loop horizon.
 func (m *Machine) SetInjector(at uint64, fn func(*Machine)) {
 	m.injectFn = fn
 	m.injectAt = at
@@ -623,13 +625,14 @@ func (m *Machine) Run(limit uint64) error {
 // RunUntil is Run without the budget-expiry trace event (the kernel's run
 // loop emits its own). It executes the event-horizon fast loop whenever no
 // per-step check could fire: no fault, not sleeping, no pending interrupt,
-// and no profiler or recorder hook attached. Inside a horizon — up to the
-// next device event or the cycle limit — instructions dispatch straight
-// through the micro-op cache with no per-step checks at all; KTRAP and SLEEP
-// entries are marked checked and run through one Step so trap handlers and
-// the sleep path see exactly the per-Step machine state they always did.
-// Everything else (traced, profiled, stepwise, or interrupt-laden execution)
-// falls back to the fully-checked Step, whose semantics are untouched.
+// no injection due, and no profiler or recorder hook attached. Inside a
+// horizon — up to the next device event or the cycle bound — instructions
+// dispatch straight through the micro-op cache with no per-step checks at
+// all; KTRAP and SLEEP entries are marked checked and run through one Step
+// so trap handlers and the sleep path see exactly the per-Step machine state
+// they always did. Everything else (traced, profiled, stepwise, injecting,
+// or interrupt-laden execution) falls back to the fully-checked Step, whose
+// semantics are untouched.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
 		if m.sampleFn != nil && m.cycle >= m.sampleNext {
@@ -643,7 +646,8 @@ func (m *Machine) RunUntil(limit uint64) error {
 			fn(at)
 		}
 		if m.fault != nil || m.sleeping || m.pending != 0 ||
-			m.stepwise || m.profInstr != nil || m.rec != nil || m.injectFn != nil {
+			m.stepwise || m.profInstr != nil || m.rec != nil ||
+			(m.injectFn != nil && m.cycle >= m.injectAt) {
 			if err := m.Step(); err != nil {
 				return err
 			}
@@ -653,6 +657,10 @@ func (m *Machine) RunUntil(limit uint64) error {
 			m.syncDevices()
 			continue
 		}
+		// The fast tiers stop at the first instruction boundary at or past
+		// bound, which is where the next iteration's Step fires a pending
+		// injection.
+		bound := m.bound(limit)
 		// Horizon entry is a block-leader point (trap return, post-sleep,
 		// post-interrupt resume): give the translator a chance to dispatch
 		// fused blocks before the per-op loop. The inline idx probe skips
@@ -660,14 +668,14 @@ func (m *Machine) RunUntil(limit uint64) error {
 		// wrappers starting at a KTRAP, lone branches) — common landing
 		// points that would otherwise pay a function call per visit.
 		// runTranslated only runs a block whose worst case fits strictly
-		// inside the horizon and cycle budget, so afterwards the clock is
+		// inside the horizon and cycle bound, so afterwards the clock is
 		// still short of both; the re-check is defensive.
 		if m.xl != nil && m.xl.at(m.pc) != xlDead {
-			halt, err := m.runTranslated(limit)
+			halt, err := m.runTranslated(bound)
 			if err != nil {
 				return err
 			}
-			if halt || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+			if halt || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
 				continue
 			}
 		}
@@ -724,7 +732,7 @@ func (m *Machine) RunUntil(limit uint64) error {
 			if err != nil {
 				return err
 			}
-			if u.checked || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+			if u.checked || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
 				break
 			}
 			// The PC after a control transfer is a basic-block leader;
@@ -732,17 +740,28 @@ func (m *Machine) RunUntil(limit uint64) error {
 			// falling back to per-op execution. The inline idx probe skips
 			// the call when the landing is already known untranslatable.
 			if u.ctl && m.xl != nil && m.xl.at(m.pc) != xlDead {
-				halt, err := m.runTranslated(limit)
+				halt, err := m.runTranslated(bound)
 				if err != nil {
 					return err
 				}
-				if halt || m.cycle >= m.dev.nextEvent || (limit != 0 && m.cycle >= limit) {
+				if halt || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
 					break
 				}
 			}
 		}
 	}
 	return nil
+}
+
+// bound is the cycle budget the fast tiers run under: limit (0 = none),
+// tightened to an armed injector's fire cycle. Like a budget, it stops them
+// at the first instruction boundary at or past it, so a pending injection
+// fires in Step at the boundary per-instruction stepping would fire it at.
+func (m *Machine) bound(limit uint64) uint64 {
+	if m.injectFn != nil && (limit == 0 || m.injectAt < limit) {
+		return m.injectAt
+	}
+	return limit
 }
 
 // Step executes one instruction (or delivers one interrupt / sleeps).

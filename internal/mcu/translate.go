@@ -20,8 +20,8 @@ import (
 // Safety rules, in order of importance:
 //
 //   - Only the fast loop dispatches blocks. The checked Step path (stepwise,
-//     trace, profile, injector, interrupt delivery) never sees a fused block,
-//     so observers keep their per-instruction byte-identical streams.
+//     trace, profile, a due injection, interrupt delivery) never sees a fused
+//     block, so observers keep their per-instruction byte-identical streams.
 //   - A block never contains a checked op (KTRAP, SLEEP), a BREAK, or an op
 //     whose I/O side effects can reschedule device events (OUT/SBI/CBI/STS to
 //     a device register, and every indirect store, whose target is dynamic).
@@ -29,8 +29,9 @@ import (
 //     terminator, executed through the ordinary dispatch table with all
 //     machine state flushed — so mid-block, dev.nextEvent is a constant.
 //   - A block is dispatched only when its worst-case cycle count fits
-//     strictly inside the current horizon and cycle budget. Every boundary
-//     the outer run loop could observe (sampler, checkpoint, horizon sync)
+//     strictly inside the current horizon and cycle bound (the run's budget,
+//     tightened to an armed injector's cycle). Every boundary the outer run
+//     loop could observe (sampler, checkpoint, injection, horizon sync)
 //     therefore lands on exactly the same cycle as per-instruction execution,
 //     because the per-op fallback finishes every horizon.
 //   - Faultable ops (SRAM loads/stores, push/pop) flush cycle, PC, and SREG
@@ -731,12 +732,16 @@ func (m *Machine) translateBlock(leader uint32) *block {
 
 // ladderDue reports whether the outer run loop has per-iteration work to do
 // right now — a fault, sleep, or pending interrupt to examine, a sampler or
-// checkpoint hook due, or an observer mode the fast path must not run under.
-// Block chaining across kernel traps re-checks exactly this set, because a
-// trap service can leave any of it behind.
-func (m *Machine) ladderDue() bool {
+// checkpoint hook due, an observer mode the fast path must not run under, or
+// an injector armed to fire before bound, the cycle bound the caller runs
+// under. Block chaining across kernel traps re-checks exactly this set,
+// because a trap service can leave any of it behind. The injector clause
+// catches one the service armed after the caller derived bound; a due
+// injector needs none, because bound already stops the caller at its cycle.
+func (m *Machine) ladderDue(bound uint64) bool {
 	return m.fault != nil || m.sleeping || m.pending != 0 ||
-		m.stepwise || m.profInstr != nil || m.rec != nil || m.injectFn != nil ||
+		m.stepwise || m.profInstr != nil || m.rec != nil ||
+		m.bound(bound) != bound ||
 		(m.sampleFn != nil && m.cycle >= m.sampleNext) ||
 		(m.ckptFn != nil && m.cycle >= m.ckptAt)
 }
@@ -755,29 +760,30 @@ func (b *block) nextPC(i int) uint32 {
 
 // runTranslated dispatches translated blocks for as long as the PC keeps
 // landing on leaders whose worst-case cycle cost fits strictly inside the
-// horizon and cycle budget. It also carries the landing counters: it is
-// called from the fast loop at horizon entry and after every control
-// transfer, which is exactly the leader definition. It is one flat chaining
-// loop: SREG, the instruction count, and the dispatch stats live in locals
-// across consecutive blocks, and are flushed only at kernel traps (whose
-// services observe machine state), at dispatch-table terminators, and on
-// exit. Fault paths flush before their guarded helpers exactly as the per-op
-// path would. A trap terminator calls the handler directly with everything
-// flushed — exactly execKtrap — then re-checks the outer run loop's ladder
-// conditions (halt=true: the caller must hand control back to the outer
-// ladder, not the fast loop). Returns on the first non-leader PC, cold
-// leader, or tight horizon — the per-op fast loop finishes the horizon with
-// unchanged per-instruction semantics.
+// horizon and limit, the cycle bound RunUntil derived (the run's budget,
+// tightened to an armed injector's cycle). It also carries the landing
+// counters: it is called from the fast loop at horizon entry and after every
+// control transfer, which is exactly the leader definition. It is one flat
+// chaining loop: SREG, the instruction count, and the dispatch stats live in
+// locals across consecutive blocks, and are flushed only at kernel traps
+// (whose services observe machine state), at dispatch-table terminators, and
+// on exit. Fault paths flush before their guarded helpers exactly as the
+// per-op path would. A trap terminator calls the handler directly with
+// everything flushed — exactly execKtrap — then re-checks the outer run
+// loop's ladder conditions (halt=true: the caller must hand control back to
+// the outer ladder, not the fast loop). Returns on the first non-leader PC,
+// cold leader, or tight horizon — the per-op fast loop finishes the horizon
+// with unchanged per-instruction semantics.
 func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 	x := m.xl
 	sreg := m.data[addrSREG]
 	var done, fused, iters uint64
 	var b *block
 	// The first cycle a block body must not reach: the device horizon,
-	// tightened by the run's cycle budget. Fused ops cannot move
-	// dev.nextEvent, so the bound stays valid across chained dispatches and
-	// is refreshed only where it can move: kernel traps, dispatch-table
-	// terminators, and fOutDev (which re-checks inline).
+	// tightened by the cycle bound. Fused ops cannot move dev.nextEvent, so
+	// the bound stays valid across chained dispatches and is refreshed only
+	// where it can move: kernel traps, dispatch-table terminators, and
+	// fOutDev (which re-checks inline).
 	stop := m.dev.nextEvent
 	if limit != 0 && limit < stop {
 		stop = limit
@@ -1264,7 +1270,7 @@ loop:
 					err = m.fault
 					break loop
 				}
-				if m.ladderDue() {
+				if m.ladderDue(limit) {
 					halt = true
 					break loop
 				}
@@ -1301,7 +1307,7 @@ loop:
 				err = m.fault
 				break loop
 			}
-			if m.ladderDue() {
+			if m.ladderDue(limit) {
 				halt = true
 				break loop
 			}

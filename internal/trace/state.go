@@ -9,20 +9,23 @@ type RecorderState struct {
 	Dropped uint64
 }
 
-// CaptureState snapshots the recorder. The event slice is copied, so the
-// state stays valid while the recorder keeps appending.
+// CaptureState snapshots the recorder. The event slice is copied in
+// emission order, so the state stays valid while the recorder keeps
+// recording.
 func (r *Recorder) CaptureState() *RecorderState {
 	return &RecorderState{
 		Limit:   r.Limit,
-		Events:  append([]Event(nil), r.events...),
+		Events:  r.ordered(),
 		Dropped: r.dropped,
 	}
 }
 
 // RestoreState replaces the recorder's contents with a captured state,
-// copying the event slice so recorder and state never alias.
+// copying the event slice so recorder and state never alias. A full ring
+// resumes overwriting from the oldest captured event.
 func (r *Recorder) RestoreState(st *RecorderState) {
 	r.Limit = st.Limit
 	r.events = append([]Event(nil), st.Events...)
+	r.head = 0
 	r.dropped = st.Dropped
 }

@@ -18,6 +18,7 @@ package trace
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 )
 
@@ -275,48 +276,67 @@ func (e Event) Format(name func(int32) string) string {
 // state: emitters must nil-check before calling Emit (the kernel and MCU
 // do), which keeps the hot path to one pointer comparison.
 type Recorder struct {
-	// Limit caps retained events (0 = unbounded). Once full, further events
-	// are counted in Dropped instead of retained, so a runaway trace
-	// degrades to a truncated one instead of exhausting memory.
+	// Limit caps retained events (0 = unbounded); set it before the first
+	// Emit. Once Limit events are held the recorder is a ring: each further
+	// event overwrites the oldest and is counted in Dropped, so a runaway
+	// trace keeps its most recent tail instead of exhausting memory, and a
+	// caller that wants only the last N events pays for N.
 	Limit int
 
 	events  []Event
+	head    int // index of the oldest event once the ring has wrapped
 	dropped uint64
 }
 
 // New returns an empty unbounded recorder.
 func New() *Recorder { return &Recorder{} }
 
-// NewLimited returns a recorder retaining at most limit events.
+// NewLimited returns a recorder retaining the newest limit events.
 func NewLimited(limit int) *Recorder { return &Recorder{Limit: limit} }
 
-// Emit appends one event.
+// Emit records one event; into a full ring it overwrites the oldest one
+// without allocating.
 func (r *Recorder) Emit(ev Event) {
 	if r.Limit > 0 && len(r.events) >= r.Limit {
+		r.events[r.head] = ev
+		if r.head++; r.head == len(r.events) {
+			r.head = 0
+		}
 		r.dropped++
 		return
 	}
 	r.events = append(r.events, ev)
 }
 
-// Events returns the recorded stream in emission order. The slice is the
-// recorder's backing store; callers must not mutate it.
-func (r *Recorder) Events() []Event { return r.events }
+// Events returns the retained stream in emission order. Until a ring wraps
+// the slice is the recorder's backing store, which callers must not mutate;
+// a wrapped ring returns a fresh copy.
+func (r *Recorder) Events() []Event {
+	if r.head == 0 {
+		return r.events
+	}
+	return r.ordered()
+}
+
+// ordered copies the retained events out in emission order.
+func (r *Recorder) ordered() []Event {
+	return slices.Concat(r.events[r.head:], r.events[:r.head])
+}
 
 // Len returns the number of retained events.
 func (r *Recorder) Len() int { return len(r.events) }
 
-// Dropped returns how many events the Limit discarded.
+// Dropped returns how many of the oldest events the Limit discarded.
 func (r *Recorder) Dropped() uint64 { return r.dropped }
 
 // Reset discards all recorded events (the Limit is kept).
-func (r *Recorder) Reset() { r.events = r.events[:0]; r.dropped = 0 }
+func (r *Recorder) Reset() { r.events, r.head, r.dropped = r.events[:0], 0, 0 }
 
 // Encode renders the stream as a canonical text dump, one event per line —
 // the byte-identical form the determinism tests compare.
 func (r *Recorder) Encode() []byte {
 	var b strings.Builder
-	for _, e := range r.events {
+	for _, e := range r.Events() {
 		fmt.Fprintf(&b, "%d %d %d %d %d %d %q\n", e.Cycle, uint8(e.Kind), e.Task, e.Arg, e.Arg2, e.PC, e.Detail)
 	}
 	return []byte(b.String())

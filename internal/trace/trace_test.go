@@ -48,6 +48,91 @@ func TestRecorderLimit(t *testing.T) {
 	if r.Dropped() != 3 {
 		t.Fatalf("Dropped = %d, want 3", r.Dropped())
 	}
+	// The ring keeps the newest events, oldest first.
+	evs := r.Events()
+	if len(evs) != 2 || evs[0].Cycle != 3 || evs[1].Cycle != 4 {
+		t.Fatalf("Events = %+v, want cycles 3 then 4", evs)
+	}
+}
+
+// wrappedRing returns a NewLimited(3) recorder fed cycles 0..6, so its ring
+// has wrapped and its oldest retained event sits mid-slice.
+func wrappedRing() *Recorder {
+	r := NewLimited(3)
+	for i := 0; i < 7; i++ {
+		r.Emit(Event{Cycle: uint64(i), Kind: KindSliceCheck, Task: int32(i % 2)})
+	}
+	return r
+}
+
+// TestRingEmissionOrder pins that Encode and CaptureState of a wrapped ring
+// read oldest to newest, identical to an unbounded recorder that saw only
+// the retained events.
+func TestRingEmissionOrder(t *testing.T) {
+	r := wrappedRing()
+	want := New()
+	for i := 4; i < 7; i++ {
+		want.Emit(Event{Cycle: uint64(i), Kind: KindSliceCheck, Task: int32(i % 2)})
+	}
+	if got := r.Encode(); !bytes.Equal(got, want.Encode()) {
+		t.Fatalf("wrapped Encode:\n%s\nwant:\n%s", got, want.Encode())
+	}
+	st := r.CaptureState()
+	if len(st.Events) != 3 || st.Dropped != 4 {
+		t.Fatalf("captured %d events, %d dropped; want 3, 4", len(st.Events), st.Dropped)
+	}
+	for i, e := range st.Events {
+		if e.Cycle != uint64(4+i) {
+			t.Fatalf("captured event %d has cycle %d, want %d", i, e.Cycle, 4+i)
+		}
+	}
+}
+
+// TestRingRestoreContinues checks a recorder restored from a wrapped
+// capture and fed the same further events ends identical to the recorder
+// that was never interrupted.
+func TestRingRestoreContinues(t *testing.T) {
+	straight := wrappedRing()
+	restored := New()
+	restored.RestoreState(straight.CaptureState())
+	for i := 7; i < 12; i++ {
+		e := Event{Cycle: uint64(i), Kind: KindIdle, Task: -1, Arg: uint64(i * 10)}
+		straight.Emit(e)
+		restored.Emit(e)
+	}
+	if !bytes.Equal(straight.Encode(), restored.Encode()) {
+		t.Fatalf("restored ring diverged:\n%s\nwant:\n%s", restored.Encode(), straight.Encode())
+	}
+	if straight.Dropped() != 9 || restored.Dropped() != 9 {
+		t.Fatalf("Dropped = %d straight, %d restored; want 9", straight.Dropped(), restored.Dropped())
+	}
+}
+
+// TestRingReset checks Reset clears a wrapped ring, which then refills from
+// empty in emission order.
+func TestRingReset(t *testing.T) {
+	r := wrappedRing()
+	r.Reset()
+	if r.Len() != 0 || r.Dropped() != 0 || len(r.Encode()) != 0 || len(r.Events()) != 0 {
+		t.Fatalf("Reset left %d events, %d dropped", r.Len(), r.Dropped())
+	}
+	for i := 0; i < 4; i++ {
+		r.Emit(Event{Cycle: uint64(10 + i), Kind: KindWake})
+	}
+	evs := r.Events()
+	if len(evs) != 3 || evs[0].Cycle != 11 || evs[2].Cycle != 13 || r.Dropped() != 1 {
+		t.Fatalf("refilled ring = %+v, %d dropped", evs, r.Dropped())
+	}
+}
+
+// TestRingEmitAllocatesNothing pins the reason the ring exists: once full,
+// recording costs no allocation however long the run.
+func TestRingEmitAllocatesNothing(t *testing.T) {
+	r := wrappedRing()
+	ev := Event{Cycle: 99, Kind: KindTrapEnter, Task: 1, Arg: 3}
+	if allocs := testing.AllocsPerRun(1000, func() { r.Emit(ev) }); allocs != 0 {
+		t.Fatalf("Emit into a full ring allocates %.1f times per call", allocs)
+	}
 }
 
 func TestNilRecorderIsDisabled(t *testing.T) {
