@@ -2,14 +2,13 @@
 #
 #   make ci             everything CI runs: format check, vet, build,
 #                       race-enabled tests (incl. the trace-driven kernel
-#                       suite), coverage floors, and a short differential fuzz
+#                       suite), coverage floors, and a short run of every
+#                       fuzz target
 #   make test           race-enabled test suite only
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
-#   make fuzz           10s differential fuzz campaign
-#   make bench          run the seven benchmarks profiled vs unprofiled and
-#                       regenerate BENCH_profile.json
-#   make bench-parallel regenerate BENCH_parallel.json
+#   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
+#   make bench          regenerate BENCH_energy.json and BENCH_interp.json
 #   make bench-interp   regenerate BENCH_interp.json (checked vs fast
 #                       interpreter throughput) and gate it against the
 #                       committed BENCH_interp.baseline.json
@@ -62,7 +61,7 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench bench-parallel bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
+.PHONY: ci build vet test cover fmt-check fuzz bench bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
 
 ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
 
@@ -99,16 +98,19 @@ fmt-check:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; \
 	fi
 
+# Every fuzz target in the module, one at a time (go test -fuzz takes a
+# single target per run), each for FUZZTIME.
 fuzz:
-	$(GO) test ./internal/experiment -run '^FuzzDifferential$$' -fuzz '^FuzzDifferential$$' -fuzztime $(FUZZTIME)
+	@set -e; for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' internal cmd); do \
+		for name in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
+			echo "fuzz ./$$(dirname $$f) $$name"; \
+			$(GO) test ./$$(dirname $$f) -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME); \
+		done; \
+	done
 
 bench:
-	$(GO) run ./cmd/sensmart-bench -exp profilebench -out BENCH_profile.json
 	$(GO) run ./cmd/sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
 	$(MAKE) bench-interp
-
-bench-parallel:
-	$(GO) run ./cmd/sensmart-bench -exp benchparallel -parallel 4 -activations 40 -out BENCH_parallel.json
 
 # The interp gate is host-relative where it can be: the suite-aggregate
 # fast/checked speedup must stay >= 1.3x, block translation must keep fused
@@ -136,10 +138,11 @@ faultcampaign:
 	$(GO) run -race ./cmd/sensmart-bench -exp faultcampaign -seed 1 -trials 3 -out /tmp/BENCH_faultcampaign_smoke.json
 
 # Race-enabled CLI checkpoint/restore smoke: snapshot a two-task workload
-# mid-run, then resume the written blob to completion. The full resume-
-# identity matrix (all seven benchmarks, every checkpoint kind, serial and
-# pooled) is pinned by TestResumeIdentity* in `make test`; this target proves
-# the sim's -checkpoint/-restore path end to end under -race.
+# mid-run, then resume the written blob to completion. Resume identity (every
+# kernel benchmark and the two-task mix, every checkpoint kind, in-memory and
+# wire-format restores, under an 8-way pool) is pinned by
+# TestResumeIdentitySerial and TestResumeIdentityPooled in `make test`; this
+# target proves the sim's -checkpoint/-restore path end to end under -race.
 checkpoint:
 	$(GO) run -race ./cmd/sensmart-sim -cycles 40000000 -copies 2 -stats \
 		-checkpoint-at 500000 -checkpoint /tmp/sensmart_checkpoint_smoke.ssnp \
@@ -163,8 +166,8 @@ energy:
 # Then a short campaign whose output must embed at least one forensic report
 # (seed 2 produces non-contained verdicts), self-compared through the
 # schema-aware comparator so the forensic_coverage row is exercised end to
-# end. The seek-identity matrix itself is pinned by TestSeekIdentity* in
-# `make test`.
+# end. Seek identity itself is pinned by TestSeekIdentitySerial and
+# TestSeekIdentityPooled in `make test`.
 debug:
 	$(GO) run -race ./cmd/sensmart-sim -debug -cycles 2000000 -copies 2 \
 		-ring 4 -ring-every 200000 -at 0 -at 600000 -at 1999999 \

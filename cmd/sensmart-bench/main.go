@@ -11,8 +11,6 @@
 //	sensmart-bench -exp overhead -trace overhead.json -metrics
 //	sensmart-bench -exp hotspots -top 5
 //	sensmart-bench -exp hotspots -profile hotspots.pb.gz -folded hotspots.folded
-//	sensmart-bench -exp profilebench -out BENCH_profile.json
-//	sensmart-bench -exp benchparallel -parallel 4 -activations 40 -out BENCH_parallel.json
 //	sensmart-bench -exp faultcampaign -seed 1 -trials 20 -out BENCH_faultcampaign.json
 //	sensmart-bench -exp warmstart -prefix 2000000 -points 6 -out BENCH_warmstart.json
 //	sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
@@ -59,15 +57,15 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sensmart-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|profilebench|benchparallel|interp|faultcampaign|warmstart|energy|compare|all")
+	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|interp|faultcampaign|warmstart|energy|compare|all")
 	activations := fs.Int("activations", 300, "PeriodicTask activations (fig6; the paper uses 300)")
 	budget := fs.Uint64("budget", 40_000_000, "simulated cycle budget for fig7/fig8 workloads")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count; 1 = serial")
-	out := fs.String("out", "", "output path for -exp benchparallel (default BENCH_parallel.json) and -exp profilebench (default BENCH_profile.json)")
+	out := fs.String("out", "", "output path for -exp interp, faultcampaign, warmstart and energy (default BENCH_<exp>.json)")
 	topK := fs.Int("top", 5, "with -exp hotspots: frames to report per benchmark")
 	profileOut := fs.String("profile", "", "with -exp hotspots: run the seven benchmarks as one profiled multitask workload and write a gzipped pprof profile.proto here")
 	foldedOut := fs.String("folded", "", "with -exp hotspots: like -profile, but folded stacks for speedscope / flamegraph.pl")
-	reps := fs.Int("reps", 3, "with -exp profilebench: timing repetitions (best-of)")
+	reps := fs.Int("reps", 3, "with -exp interp: timing repetitions (best-of)")
 	traceOut := fs.String("trace", "", "with -exp overhead: run all seven kernel benchmarks as one traced multitask workload and write Chrome trace_event JSON here (load in ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "with -exp overhead: print the traced multitask workload's kernel metrics snapshot")
 	baseline := fs.String("baseline", "", "with -exp interp: gate the fresh results against this committed BENCH_interp baseline")
@@ -240,22 +238,6 @@ func run(args []string) error {
 			}
 			return write(*foldedOut, "folded stacks", prof.WriteFolded)
 		},
-		"profilebench": func() error {
-			b, err := experiment.BenchProfile(*reps)
-			if err != nil {
-				return err
-			}
-			path := *out
-			if path == "" {
-				path = "BENCH_profile.json"
-			}
-			data, err := experiment.WriteBenchFile(path, b)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n%s", path, data)
-			return nil
-		},
 		"interp": func() error {
 			b, err := experiment.BenchInterp(*reps, *parallel, *fusedThreshold)
 			if err != nil {
@@ -298,22 +280,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("interp gate: ok (suite speedup %.2fx, fused %.2fx on top, total %.2fx, serial %.1f MIPS vs baseline %.1f MIPS)\n",
 				b.SuiteSpeedup, b.FusedSuiteSpeedup, b.TotalSuiteSpeedup, b.SerialFastMIPS, base.SerialFastMIPS)
-			return nil
-		},
-		"benchparallel": func() error {
-			b, err := experiment.BenchParallel(*parallel, *activations)
-			if err != nil {
-				return err
-			}
-			path := *out
-			if path == "" {
-				path = "BENCH_parallel.json"
-			}
-			data, err := experiment.WriteBenchFile(path, b)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n%s", path, data)
 			return nil
 		},
 		"faultcampaign": func() error {

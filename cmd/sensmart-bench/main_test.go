@@ -33,11 +33,12 @@ func TestBenchToolCompare(t *testing.T) {
 	dir := t.TempDir()
 	old := filepath.Join(dir, "old.json")
 	fresh := filepath.Join(dir, "new.json")
-	payload := &experiment.ProfileBench{
-		BenchMeta: experiment.NewBenchMeta("profile", "kernel7"),
-		Benchmarks: []experiment.ProfileBenchPoint{
-			{Benchmark: "lfsr", UnprofiledMs: 10, ProfiledMs: 12},
-		},
+	payload := &experiment.WarmstartBench{
+		BenchMeta:  experiment.NewBenchMeta("warmstart", "kernel7"),
+		Identical:  true,
+		ColdWallNS: 2_000_000_000,
+		WarmWallNS: 1_000_000_000,
+		Speedup:    2,
 	}
 	if _, err := experiment.WriteBenchFile(old, payload); err != nil {
 		t.Fatal(err)
@@ -48,12 +49,12 @@ func TestBenchToolCompare(t *testing.T) {
 	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh, "-tolerance", "10"}); err != nil {
 		t.Fatalf("identical files: %v", err)
 	}
-	payload.Benchmarks[0].ProfiledMs = 40
+	payload.WarmWallNS = 3_300_000_000
 	if _, err := experiment.WriteBenchFile(fresh, payload); err != nil {
 		t.Fatal(err)
 	}
 	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh, "-tolerance", "10"}); err == nil {
-		t.Fatal("3.3x slower profiled_ms did not fail the compare gate")
+		t.Fatal("3.3x slower warm pass did not fail the compare gate")
 	}
 	if err := run([]string{"-exp", "compare", "-old", old}); err == nil {
 		t.Fatal("compare without -new did not error")

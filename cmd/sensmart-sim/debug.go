@@ -44,12 +44,18 @@ func parseDump(s string) ([]dumpSpec, error) {
 				return nil, fmt.Errorf("bad -dump section %q (want mem:ADDR+LEN)", tok)
 			}
 			addr, err := strconv.ParseUint(addrs, 0, 16)
+			if err == nil && addr >= mcu.DataSize {
+				err = fmt.Errorf("past the %#x-byte data space", mcu.DataSize)
+			}
 			if err != nil {
 				return nil, fmt.Errorf("bad -dump address in %q: %v", tok, err)
 			}
+			// The window must end inside the data space: reads past it would
+			// wrap and print other bytes under the requested addresses.
+			room := mcu.DataSize - addr
 			n, err := strconv.ParseUint(lens, 0, 16)
-			if err != nil || n == 0 || n > uint64(mcu.DataSize) {
-				return nil, fmt.Errorf("bad -dump length in %q (want 1..%d)", tok, mcu.DataSize)
+			if err != nil || n == 0 || n > room {
+				return nil, fmt.Errorf("bad -dump length in %q (want 1..%d)", tok, room)
 			}
 			specs = append(specs, dumpSpec{kind: "mem", addr: uint16(addr), n: int(n)})
 		default:

@@ -3,6 +3,8 @@ package main
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/mcu"
 )
 
 // counterSrc counts a heap byte with a spin delay, then parks in a sleep
@@ -33,28 +35,35 @@ spin:
     ret
 `
 
+// dumpCases are -dump section lists and how parseDump must take them.
+var dumpCases = []struct {
+	in      string
+	want    int    // spec count on success
+	wantErr string // substring; "" = valid
+}{
+	{"regs", 1, ""},
+	{"regs,stack,tasks,energy,events", 5, ""},
+	{"mem:0x100+16", 1, ""},
+	{"mem:256+16", 1, ""},
+	{"regs, stack , mem:0x100+4", 3, ""},
+	{"mem:0x100+8,mem:0x200+8", 2, ""},
+	{"", 0, "unknown -dump section"},
+	{"regs,", 0, "unknown -dump section"},
+	{"bogus", 0, "unknown -dump section"},
+	{"mem:0x100", 0, "want mem:ADDR+LEN"},
+	{"mem:zz+16", 0, "bad -dump address"},
+	{"mem:0x10000+16", 0, "bad -dump address"},
+	{"mem:0x100+0", 0, "bad -dump length"},
+	{"mem:0x100+99999", 0, "bad -dump length"},
+	{"mem:0x10F0+16", 1, ""},
+	{"mem:0x10FF+1", 1, ""},
+	{"mem:0x1100+16", 0, "bad -dump address"},
+	{"mem:0x10F8+16", 0, "bad -dump length"},
+	{"mem:0+0x1101", 0, "bad -dump length"},
+}
+
 func TestParseDump(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    int    // spec count on success
-		wantErr string // substring; "" = valid
-	}{
-		{"regs", 1, ""},
-		{"regs,stack,tasks,energy,events", 5, ""},
-		{"mem:0x100+16", 1, ""},
-		{"mem:256+16", 1, ""},
-		{"regs, stack , mem:0x100+4", 3, ""},
-		{"mem:0x100+8,mem:0x200+8", 2, ""},
-		{"", 0, "unknown -dump section"},
-		{"regs,", 0, "unknown -dump section"},
-		{"bogus", 0, "unknown -dump section"},
-		{"mem:0x100", 0, "want mem:ADDR+LEN"},
-		{"mem:zz+16", 0, "bad -dump address"},
-		{"mem:0x10000+16", 0, "bad -dump address"},
-		{"mem:0x100+0", 0, "bad -dump length"},
-		{"mem:0x100+99999", 0, "bad -dump length"},
-	}
-	for _, tc := range cases {
+	for _, tc := range dumpCases {
 		specs, err := parseDump(tc.in)
 		switch {
 		case tc.wantErr == "" && err != nil:
@@ -67,6 +76,34 @@ func TestParseDump(t *testing.T) {
 			t.Errorf("parseDump(%q) error %q does not mention %q", tc.in, err, tc.wantErr)
 		}
 	}
+}
+
+// FuzzParseDump: whatever parses must be a list of known sections whose
+// memory windows lie inside the data space.
+func FuzzParseDump(f *testing.F) {
+	for _, tc := range dumpCases {
+		f.Add(tc.in)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		specs, err := parseDump(s)
+		if err != nil {
+			return
+		}
+		if len(specs) == 0 {
+			t.Fatalf("parseDump(%q) accepted no sections", s)
+		}
+		for _, d := range specs {
+			switch d.kind {
+			case "regs", "stack", "tasks", "energy", "events":
+			case "mem":
+				if d.n < 1 || int(d.addr)+d.n > mcu.DataSize {
+					t.Fatalf("parseDump(%q) accepted mem window %#x+%d past the %#x-byte data space", s, d.addr, d.n, mcu.DataSize)
+				}
+			default:
+				t.Fatalf("parseDump(%q) produced unknown section %q", s, d.kind)
+			}
+		}
+	})
 }
 
 func TestValidateDebugCombos(t *testing.T) {

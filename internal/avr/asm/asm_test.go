@@ -2,6 +2,7 @@ package asm
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -258,23 +259,25 @@ main:
 	}
 }
 
+// badSources are programs Assemble must reject.
+var badSources = []struct {
+	name string
+	src  string
+}{
+	{"unknown mnemonic", "main:\n frob r1\n"},
+	{"bad register", "main:\n ldi r40, 1\n ret\n"},
+	{"ldi low register", "main:\n ldi r3, 1\n ret\n"},
+	{"undefined symbol", "main:\n rjmp nowhere\n"},
+	{"duplicate label", "a:\na:\n ret\n"},
+	{"branch out of range", "main:\n breq far\n.org 200\nfar: ret\n"},
+	{"bad directive", ".bogus 1\nmain: ret\n"},
+	{"space in text", ".text\n.space 4\nmain: ret\n"},
+	{"missing entry", ".entry nope\nmain: ret\n"},
+	{"odd db in text", "main:\n.db 1,2,3\n ret\n"},
+}
+
 func TestAssembleErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-	}{
-		{"unknown mnemonic", "main:\n frob r1\n"},
-		{"bad register", "main:\n ldi r40, 1\n ret\n"},
-		{"ldi low register", "main:\n ldi r3, 1\n ret\n"},
-		{"undefined symbol", "main:\n rjmp nowhere\n"},
-		{"duplicate label", "a:\na:\n ret\n"},
-		{"branch out of range", "main:\n breq far\n.org 200\nfar: ret\n"},
-		{"bad directive", ".bogus 1\nmain: ret\n"},
-		{"space in text", ".text\n.space 4\nmain: ret\n"},
-		{"missing entry", ".entry nope\nmain: ret\n"},
-		{"odd db in text", "main:\n.db 1,2,3\n ret\n"},
-	}
-	for _, tt := range tests {
+	for _, tt := range badSources {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Assemble("bad", tt.src); err == nil {
 				t.Fatalf("expected error for %q", tt.src)
@@ -325,4 +328,25 @@ tab:
 	if in0.Imm != int32(tab.Addr*2&0xFF) {
 		t.Errorf("lo8(pmbyte(tab)) = %d, want %d", in0.Imm, tab.Addr*2&0xFF)
 	}
+}
+
+// FuzzAssemble feeds the assembler arbitrary source. It must reject what it
+// cannot assemble with an error, never a panic, and assemble the rest the
+// same way every time.
+func FuzzAssemble(f *testing.F) {
+	for _, tt := range badSources {
+		f.Add(tt.src)
+	}
+	f.Add(".equ COUNT, 10\nmain:\n ldi r16, COUNT\nloop:\n dec r16\n brne loop\n ret\n")
+	f.Add(".data\ncounter: .space 2\ntable: .db 1, 2\n.text\nmain:\n lds r24, counter\n ret\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Assemble("fuzz", src)
+		if err != nil {
+			return
+		}
+		again, err := Assemble("fuzz", src)
+		if err != nil || !slices.Equal(again.Words, p.Words) || again.Entry != p.Entry {
+			t.Fatalf("assembling %q twice disagrees (%v)", src, err)
+		}
+	})
 }

@@ -7,52 +7,54 @@ import (
 	"testing/quick"
 )
 
-// TestKnownEncodings pins our encoder to byte patterns produced by avr-gcc /
-// documented in the AVR instruction-set manual.
+// knownEncodings are byte patterns produced by avr-gcc / documented in the
+// AVR instruction-set manual.
+var knownEncodings = []struct {
+	name string
+	give Inst
+	want []uint16
+}{
+	{"nop", Inst{Op: OpNop}, []uint16{0x0000}},
+	{"movw r24,r22", Inst{Op: OpMovw, Dst: 24, Src: 22}, []uint16{0x01CB}},
+	{"add r1,r2", Inst{Op: OpAdd, Dst: 1, Src: 2}, []uint16{0x0C12}},
+	{"adc r5,r21", Inst{Op: OpAdc, Dst: 5, Src: 21}, []uint16{0x1E55}},
+	{"ldi r16,0xFF", Inst{Op: OpLdi, Dst: 16, Imm: 0xFF}, []uint16{0xEF0F}},
+	{"rjmp .-2", Inst{Op: OpRjmp, Imm: -1}, []uint16{0xCFFF}},
+	{"ret", Inst{Op: OpRet}, []uint16{0x9508}},
+	{"reti", Inst{Op: OpReti}, []uint16{0x9518}},
+	{"push r28", Inst{Op: OpPush, Dst: 28}, []uint16{0x93CF}},
+	{"pop r29", Inst{Op: OpPop, Dst: 29}, []uint16{0x91DF}},
+	{"in r28,SPL", Inst{Op: OpIn, Dst: 28, Imm: 0x3D}, []uint16{0xB7CD}},
+	{"out SPH,r29", Inst{Op: OpOut, Dst: 29, Imm: 0x3E}, []uint16{0xBFDE}},
+	{"ldd r24,Y+1", Inst{Op: OpLddY, Dst: 24, Imm: 1}, []uint16{0x8189}},
+	{"std Y+1,r24", Inst{Op: OpStdY, Dst: 24, Imm: 1}, []uint16{0x8389}},
+	{"lds r24,0x100", Inst{Op: OpLds, Dst: 24, Imm: 0x100}, []uint16{0x9180, 0x0100}},
+	{"sts 0x100,r24", Inst{Op: OpSts, Dst: 24, Imm: 0x100}, []uint16{0x9380, 0x0100}},
+	{"jmp 0", Inst{Op: OpJmp, Imm: 0}, []uint16{0x940C, 0x0000}},
+	{"call 0x80", Inst{Op: OpCall, Imm: 0x80}, []uint16{0x940E, 0x0080}},
+	{"breq .-4", Inst{Op: OpBrbs, Src: FlagZ, Imm: -2}, []uint16{0xF3F1}},
+	{"brne .+2", Inst{Op: OpBrbc, Src: FlagZ, Imm: 1}, []uint16{0xF409}},
+	{"sbiw r24,1", Inst{Op: OpSbiw, Dst: 24, Imm: 1}, []uint16{0x9701}},
+	{"adiw r30,63", Inst{Op: OpAdiw, Dst: 30, Imm: 63}, []uint16{0x96FF}},
+	{"ijmp", Inst{Op: OpIjmp}, []uint16{0x9409}},
+	{"icall", Inst{Op: OpIcall}, []uint16{0x9509}},
+	{"sleep", Inst{Op: OpSleep}, []uint16{0x9588}},
+	{"lpm", Inst{Op: OpLpm}, []uint16{0x95C8}},
+	{"lpm r24,Z+", Inst{Op: OpLpmZInc, Dst: 24}, []uint16{0x9185}},
+	{"ld r24,X+", Inst{Op: OpLdXInc, Dst: 24}, []uint16{0x918D}},
+	{"st -Y,r0", Inst{Op: OpStYDec, Dst: 0}, []uint16{0x920A}},
+	{"cpi r17,10", Inst{Op: OpCpi, Dst: 17, Imm: 10}, []uint16{0x301A}},
+	{"sbrc r2,3", Inst{Op: OpSbrc, Dst: 2, Imm: 3}, []uint16{0xFC23}},
+	{"sbi 0x18,7", Inst{Op: OpSbi, Dst: 0x18, Imm: 7}, []uint16{0x9AC7}},
+	{"cbi 0x12,0", Inst{Op: OpCbi, Dst: 0x12, Imm: 0}, []uint16{0x9890}},
+	{"bset I (sei)", Inst{Op: OpBset, Dst: FlagI}, []uint16{0x9478}},
+	{"bclr I (cli)", Inst{Op: OpBclr, Dst: FlagI}, []uint16{0x94F8}},
+	{"ktrap 7", Inst{Op: OpKtrap, Imm: 7}, []uint16{0x9598, 0x0007}},
+}
+
+// TestKnownEncodings pins our encoder to knownEncodings.
 func TestKnownEncodings(t *testing.T) {
-	tests := []struct {
-		name string
-		give Inst
-		want []uint16
-	}{
-		{"nop", Inst{Op: OpNop}, []uint16{0x0000}},
-		{"movw r24,r22", Inst{Op: OpMovw, Dst: 24, Src: 22}, []uint16{0x01CB}},
-		{"add r1,r2", Inst{Op: OpAdd, Dst: 1, Src: 2}, []uint16{0x0C12}},
-		{"adc r5,r21", Inst{Op: OpAdc, Dst: 5, Src: 21}, []uint16{0x1E55}},
-		{"ldi r16,0xFF", Inst{Op: OpLdi, Dst: 16, Imm: 0xFF}, []uint16{0xEF0F}},
-		{"rjmp .-2", Inst{Op: OpRjmp, Imm: -1}, []uint16{0xCFFF}},
-		{"ret", Inst{Op: OpRet}, []uint16{0x9508}},
-		{"reti", Inst{Op: OpReti}, []uint16{0x9518}},
-		{"push r28", Inst{Op: OpPush, Dst: 28}, []uint16{0x93CF}},
-		{"pop r29", Inst{Op: OpPop, Dst: 29}, []uint16{0x91DF}},
-		{"in r28,SPL", Inst{Op: OpIn, Dst: 28, Imm: 0x3D}, []uint16{0xB7CD}},
-		{"out SPH,r29", Inst{Op: OpOut, Dst: 29, Imm: 0x3E}, []uint16{0xBFDE}},
-		{"ldd r24,Y+1", Inst{Op: OpLddY, Dst: 24, Imm: 1}, []uint16{0x8189}},
-		{"std Y+1,r24", Inst{Op: OpStdY, Dst: 24, Imm: 1}, []uint16{0x8389}},
-		{"lds r24,0x100", Inst{Op: OpLds, Dst: 24, Imm: 0x100}, []uint16{0x9180, 0x0100}},
-		{"sts 0x100,r24", Inst{Op: OpSts, Dst: 24, Imm: 0x100}, []uint16{0x9380, 0x0100}},
-		{"jmp 0", Inst{Op: OpJmp, Imm: 0}, []uint16{0x940C, 0x0000}},
-		{"call 0x80", Inst{Op: OpCall, Imm: 0x80}, []uint16{0x940E, 0x0080}},
-		{"breq .-4", Inst{Op: OpBrbs, Src: FlagZ, Imm: -2}, []uint16{0xF3F1}},
-		{"brne .+2", Inst{Op: OpBrbc, Src: FlagZ, Imm: 1}, []uint16{0xF409}},
-		{"sbiw r24,1", Inst{Op: OpSbiw, Dst: 24, Imm: 1}, []uint16{0x9701}},
-		{"adiw r30,63", Inst{Op: OpAdiw, Dst: 30, Imm: 63}, []uint16{0x96FF}},
-		{"ijmp", Inst{Op: OpIjmp}, []uint16{0x9409}},
-		{"icall", Inst{Op: OpIcall}, []uint16{0x9509}},
-		{"sleep", Inst{Op: OpSleep}, []uint16{0x9588}},
-		{"lpm", Inst{Op: OpLpm}, []uint16{0x95C8}},
-		{"lpm r24,Z+", Inst{Op: OpLpmZInc, Dst: 24}, []uint16{0x9185}},
-		{"ld r24,X+", Inst{Op: OpLdXInc, Dst: 24}, []uint16{0x918D}},
-		{"st -Y,r0", Inst{Op: OpStYDec, Dst: 0}, []uint16{0x920A}},
-		{"cpi r17,10", Inst{Op: OpCpi, Dst: 17, Imm: 10}, []uint16{0x301A}},
-		{"sbrc r2,3", Inst{Op: OpSbrc, Dst: 2, Imm: 3}, []uint16{0xFC23}},
-		{"sbi 0x18,7", Inst{Op: OpSbi, Dst: 0x18, Imm: 7}, []uint16{0x9AC7}},
-		{"cbi 0x12,0", Inst{Op: OpCbi, Dst: 0x12, Imm: 0}, []uint16{0x9890}},
-		{"bset I (sei)", Inst{Op: OpBset, Dst: FlagI}, []uint16{0x9478}},
-		{"bclr I (cli)", Inst{Op: OpBclr, Dst: FlagI}, []uint16{0x94F8}},
-		{"ktrap 7", Inst{Op: OpKtrap, Imm: 7}, []uint16{0x9598, 0x0007}},
-	}
-	for _, tt := range tests {
+	for _, tt := range knownEncodings {
 		t.Run(tt.name, func(t *testing.T) {
 			got, err := Encode(tt.give)
 			if err != nil {
@@ -314,4 +316,39 @@ func indexOf(haystack, needle string) int {
 		}
 	}
 	return -1
+}
+
+// FuzzDecode feeds the decoder one or two arbitrary words. Whatever decodes
+// must re-encode to words that decode to the same instruction; the re-decode
+// keeps the original trailing word, because what follows a word can change
+// its meaning (BREAK followed by an id word is KTRAP).
+func FuzzDecode(f *testing.F) {
+	for _, tt := range knownEncodings {
+		var next uint16
+		if len(tt.want) > 1 {
+			next = tt.want[1]
+		}
+		f.Add(tt.want[0], next, len(tt.want) > 1)
+	}
+	f.Fuzz(func(t *testing.T, w0, w1 uint16, two bool) {
+		words := []uint16{w0}
+		if two {
+			words = append(words, w1)
+		}
+		in, err := Decode(words)
+		if err != nil {
+			return
+		}
+		enc, err := Encode(in)
+		if err != nil {
+			t.Fatalf("Decode(%#x) = %+v, which does not encode: %v", words, in, err)
+		}
+		if len(enc) != in.Words() {
+			t.Fatalf("%+v encoded to %d words, Words() = %d", in, len(enc), in.Words())
+		}
+		back, err := Decode(append(enc, words[len(enc):]...))
+		if err != nil || back != in {
+			t.Fatalf("Decode(%#x) = %+v, re-encoded %#x decodes to %+v (%v)", words, in, enc, back, err)
+		}
+	})
 }

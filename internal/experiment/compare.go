@@ -16,8 +16,6 @@ type benchFile struct {
 	path      string
 	meta      BenchMeta
 	interp    *InterpBench
-	profile   *ProfileBench
-	parallel  *ParallelBench
 	faultcamp *FaultBench
 	warmstart *WarmstartBench
 	energy    *EnergyBench
@@ -29,29 +27,22 @@ func loadBenchFile(path string) (*benchFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The probe decodes only the header plus one shape-discriminating field
-	// per kind, so legacy files (schema_version 0, no kind) still classify.
+	// The probe decodes only the header plus the interp shape's
+	// discriminating field, so legacy interp files (schema_version 0, no
+	// kind, written before the header existed) still classify.
 	var probe struct {
 		BenchMeta
-		SuiteSpeedup *float64        `json:"suite_speedup"`
-		Disabled     *bool           `json:"disabled_within_5pct"`
-		Sweeps       json.RawMessage `json:"sweeps"`
+		SuiteSpeedup *float64 `json:"suite_speedup"`
 	}
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	kind := probe.Kind
 	if kind == "" {
-		switch {
-		case probe.SuiteSpeedup != nil:
-			kind = "interp"
-		case probe.Disabled != nil:
-			kind = "profile"
-		case probe.Sweeps != nil:
-			kind = "parallel"
-		default:
+		if probe.SuiteSpeedup == nil {
 			return nil, fmt.Errorf("%s: not a recognized BENCH_* payload (no kind header and no known shape)", path)
 		}
+		kind = "interp"
 	}
 	f := &benchFile{path: path, meta: probe.BenchMeta}
 	f.meta.Kind = kind
@@ -59,12 +50,6 @@ func loadBenchFile(path string) (*benchFile, error) {
 	case "interp":
 		f.interp = new(InterpBench)
 		err = json.Unmarshal(raw, f.interp)
-	case "profile":
-		f.profile = new(ProfileBench)
-		err = json.Unmarshal(raw, f.profile)
-	case "parallel":
-		f.parallel = new(ParallelBench)
-		err = json.Unmarshal(raw, f.parallel)
 	case "faultcampaign":
 		f.faultcamp = new(FaultBench)
 		err = json.Unmarshal(raw, f.faultcamp)
@@ -122,7 +107,7 @@ type compareRow struct {
 	old    float64
 	new    float64
 	// higherBetter orients the verdict: MIPS and speedups regress downward,
-	// wall-clock milliseconds regress upward.
+	// wall-clock times and joules regress upward.
 	higherBetter bool
 }
 
@@ -218,47 +203,6 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 		if haveFused {
 			rows = append(rows,
 				compareRow{"suite", "fused_suite_speedup", "x", o.FusedSuiteSpeedup, n.FusedSuiteSpeedup, true})
-		}
-	case "profile":
-		o, n := oldF.profile, newF.profile
-		byName := make(map[string]ProfileBenchPoint, len(o.Benchmarks))
-		for _, p := range o.Benchmarks {
-			byName[p.Benchmark] = p
-		}
-		for _, np := range n.Benchmarks {
-			op, ok := byName[np.Benchmark]
-			if !ok {
-				missing("benchmark", np.Benchmark)
-				continue
-			}
-			delete(byName, np.Benchmark)
-			rows = append(rows,
-				compareRow{np.Benchmark, "unprofiled_ms", "ms", op.UnprofiledMs, np.UnprofiledMs, false},
-				compareRow{np.Benchmark, "profiled_ms", "ms", op.ProfiledMs, np.ProfiledMs, false})
-		}
-		for name := range byName {
-			missing("benchmark", name)
-		}
-	case "parallel":
-		o, n := oldF.parallel, newF.parallel
-		byName := make(map[string]ParallelBenchSweep, len(o.Sweeps))
-		for _, s := range o.Sweeps {
-			byName[s.Sweep] = s
-		}
-		for _, ns := range n.Sweeps {
-			os, ok := byName[ns.Sweep]
-			if !ok {
-				missing("sweep", ns.Sweep)
-				continue
-			}
-			delete(byName, ns.Sweep)
-			rows = append(rows,
-				compareRow{ns.Sweep, "serial_ms", "ms", os.SerialMs, ns.SerialMs, false},
-				compareRow{ns.Sweep, "parallel_ms", "ms", os.ParallelMs, ns.ParallelMs, false},
-				compareRow{ns.Sweep, "speedup", "x", os.Speedup, ns.Speedup, true})
-		}
-		for name := range byName {
-			missing("sweep", name)
 		}
 	case "faultcampaign":
 		o, n := oldF.faultcamp, newF.faultcamp

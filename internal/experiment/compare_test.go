@@ -79,36 +79,24 @@ func TestCompareDetectsRegression(t *testing.T) {
 }
 
 func TestCompareDirectionAware(t *testing.T) {
-	// Wall-clock metrics regress UPWARD: a slower profiled_ms must be
-	// flagged even though the number grew.
-	oldB := &ProfileBench{
-		BenchMeta: NewBenchMeta("profile", "kernel7"),
-		Benchmarks: []ProfileBenchPoint{
-			{Benchmark: "lfsr", UnprofiledMs: 10, ProfiledMs: 12},
-		},
-	}
-	newB := &ProfileBench{
-		BenchMeta: NewBenchMeta("profile", "kernel7"),
-		Benchmarks: []ProfileBenchPoint{
-			{Benchmark: "lfsr", UnprofiledMs: 10, ProfiledMs: 30},
-		},
-	}
-	old := writeFixture(t, "old.json", oldB)
-	cur := writeFixture(t, "new.json", newB)
+	// Wall-clock metrics regress UPWARD: a slower warm pass must be flagged
+	// even though the number grew.
+	old := writeFixture(t, "old.json", warmstartFixture(true, 1.5, 1_000_000_000))
+	cur := writeFixture(t, "new.json", warmstartFixture(true, 1.5, 2_500_000_000))
 	_, regressions, err := CompareBenchFiles(old, cur, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regressions) != 1 || !strings.Contains(regressions[0], "profiled_ms") {
-		t.Fatalf("2.5x slower profiled_ms not flagged: %v", regressions)
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "warm_wall") {
+		t.Fatalf("2.5x slower warm_wall not flagged: %v", regressions)
 	}
 }
 
 func TestCompareKindMismatch(t *testing.T) {
 	old := writeFixture(t, "old.json", interpFixture(100))
-	cur := writeFixture(t, "new.json", &ProfileBench{BenchMeta: NewBenchMeta("profile", "kernel7")})
+	cur := writeFixture(t, "new.json", warmstartFixture(true, 1.5, 1_000_000_000))
 	if _, _, err := CompareBenchFiles(old, cur, 10); err == nil {
-		t.Fatal("comparing interp against profile did not error")
+		t.Fatal("comparing interp against warmstart did not error")
 	}
 }
 

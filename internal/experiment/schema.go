@@ -19,7 +19,8 @@ const BenchSchemaVersion = 1
 // written before the header existed still unmarshal.
 type BenchMeta struct {
 	SchemaVersion int `json:"schema_version"`
-	// Kind names the payload shape: "interp", "profile", or "parallel".
+	// Kind names the payload shape: "interp", "faultcampaign", "warmstart",
+	// or "energy".
 	Kind string `json:"kind"`
 	// BenchmarkSet names the workload collection the numbers cover.
 	BenchmarkSet string `json:"benchmark_set"`

@@ -183,7 +183,8 @@ func (in Injection) String() string {
 //	retaddr:TARGET@CYCLE        point the return address at flash word TARGET
 //	radio:HEXBYTES@CYCLE        deliver the hex-decoded payload on the radio
 //
-// Numbers accept 0x-prefixed hex or decimal.
+// Numbers accept 0x-prefixed hex or decimal. sram and burst bytes must lie
+// inside the mcu.DataSize-byte data space.
 func ParseInject(s string) (Injection, error) {
 	fail := func(why string) (Injection, error) {
 		return Injection{}, fmt.Errorf("inject %q: %s", s, why)
@@ -203,13 +204,22 @@ func ParseInject(s string) (Injection, error) {
 		}
 		return strconv.ParseUint(parts[i], 0, bits)
 	}
+	// dataAddr parses a data-space address: Peek and Poke wrap modulo the
+	// data size, so an address past it would silently hit another byte.
+	dataAddr := func(i int) (uint64, error) {
+		addr, err := num(i, 16)
+		if err == nil && addr >= mcu.DataSize {
+			err = fmt.Errorf("%#x is past the %#x-byte data space", addr, mcu.DataSize)
+		}
+		return addr, err
+	}
 	in := Injection{At: at}
 	switch parts[0] {
 	case "sram":
 		if len(parts) < 2 || len(parts) > 3 {
 			return fail("want sram:ADDR[:BIT]@CYCLE")
 		}
-		addr, err := num(1, 16)
+		addr, err := dataAddr(1)
 		if err != nil {
 			return fail("bad address: " + err.Error())
 		}
@@ -225,12 +235,12 @@ func ParseInject(s string) (Injection, error) {
 		if len(parts) < 3 || len(parts) > 4 {
 			return fail("want burst:ADDR:LEN[:BIT]@CYCLE")
 		}
-		addr, err := num(1, 16)
+		addr, err := dataAddr(1)
 		if err != nil {
 			return fail("bad address: " + err.Error())
 		}
 		n, err := num(2, 8)
-		if err != nil || n == 0 {
+		if err != nil || n == 0 || addr+n > mcu.DataSize {
 			return fail("bad length")
 		}
 		in.Kind, in.Addr, in.Len = KindSRAMBurst, uint16(addr), uint8(n)

@@ -1,29 +1,34 @@
 package faultinject
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/mcu"
 )
 
+// injectForms are well-formed -inject flags and what they parse to.
+var injectForms = []struct {
+	in   string
+	want Injection
+}{
+	{"sram:0x123@500", Injection{Kind: KindSRAMFlip, Addr: 0x123, At: 500}},
+	{"sram:291:7@0x1f4", Injection{Kind: KindSRAMFlip, Addr: 291, Bit: 7, At: 500}},
+	{"burst:0x200:4@9", Injection{Kind: KindSRAMBurst, Addr: 0x200, Len: 4, At: 9}},
+	{"burst:0x200:4:3@9", Injection{Kind: KindSRAMBurst, Addr: 0x200, Len: 4, Bit: 3, At: 9}},
+	{"sram:0x10FF@1", Injection{Kind: KindSRAMFlip, Addr: 0x10FF, At: 1}},
+	{"burst:0x10F0:16@1", Injection{Kind: KindSRAMBurst, Addr: 0x10F0, Len: 16, At: 1}},
+	{"reg:r17@77", Injection{Kind: KindRegFlip, Reg: 17, At: 77}},
+	{"reg:r0:6@77", Injection{Kind: KindRegFlip, Reg: 0, Bit: 6, At: 77}},
+	{"smash:12:0xAA@1000", Injection{Kind: KindStackSmash, Len: 12, Value: 0xAA, At: 1000}},
+	{"retaddr:0xF00@42", Injection{Kind: KindRetAddr, Addr: 0xF00, At: 42}},
+	{"radio:03a1b2c3@8", Injection{Kind: KindRadio, Payload: []byte{3, 0xA1, 0xB2, 0xC3}, At: 8}},
+}
+
 // TestParseInjectRoundTrip checks every flag form parses and that String
 // renders back something ParseInject accepts with identical meaning.
 func TestParseInjectRoundTrip(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Injection
-	}{
-		{"sram:0x123@500", Injection{Kind: KindSRAMFlip, Addr: 0x123, At: 500}},
-		{"sram:291:7@0x1f4", Injection{Kind: KindSRAMFlip, Addr: 291, Bit: 7, At: 500}},
-		{"burst:0x200:4@9", Injection{Kind: KindSRAMBurst, Addr: 0x200, Len: 4, At: 9}},
-		{"burst:0x200:4:3@9", Injection{Kind: KindSRAMBurst, Addr: 0x200, Len: 4, Bit: 3, At: 9}},
-		{"reg:r17@77", Injection{Kind: KindRegFlip, Reg: 17, At: 77}},
-		{"reg:r0:6@77", Injection{Kind: KindRegFlip, Reg: 0, Bit: 6, At: 77}},
-		{"smash:12:0xAA@1000", Injection{Kind: KindStackSmash, Len: 12, Value: 0xAA, At: 1000}},
-		{"retaddr:0xF00@42", Injection{Kind: KindRetAddr, Addr: 0xF00, At: 42}},
-		{"radio:03a1b2c3@8", Injection{Kind: KindRadio, Payload: []byte{3, 0xA1, 0xB2, 0xC3}, At: 8}},
-	}
-	for _, c := range cases {
+	for _, c := range injectForms {
 		got, err := ParseInject(c.in)
 		if err != nil {
 			t.Errorf("ParseInject(%q): %v", c.in, err)
@@ -46,48 +51,55 @@ func TestParseInjectRoundTrip(t *testing.T) {
 	}
 }
 
+// badInjects are -inject flags ParseInject must reject.
+var badInjects = []string{
+	"",                      // empty
+	"sram:0x10",             // no cycle
+	"sram@5",                // missing address
+	"sram:0x10:1:2@5",       // too many fields
+	"sram:zz@5",             // non-numeric address
+	"burst:0x10@5",          // missing length
+	"burst:0x10:0@5",        // zero length
+	"reg:x5@5",              // bad register syntax
+	"reg:r32@5",             // register out of range
+	"reg:r1:9@5",            // bit out of range
+	"smash:0:0x41@5",        // zero length
+	"smash:4@5",             // missing value
+	"retaddr@5",             // missing target
+	"retaddr:0x10:0x20@5",   // extra field
+	"radio:@5",              // empty payload
+	"radio:abc@5",           // odd-length hex
+	"laser:0x10@5",          // unknown kind
+	"sram:0x10@not-a-cycle", // bad cycle
+	// Strictness pins: no trailing garbage, signs, or lax field forms
+	// may slip through anywhere in the spec or after @CYCLE.
+	"sram:0x10:1@5@6",    // second @: trailing garbage after the cycle
+	"sram:0x10:1@5 ",     // trailing whitespace after the cycle
+	"sram:0x10:1@5junk",  // trailing letters fused to the cycle
+	"sram:0x10:1@+5",     // signed cycle
+	"sram:0x10:1@-5",     // negative cycle
+	"sram:0x10:1@",       // empty cycle
+	"sram:+0x10:1@5",     // signed address
+	"sram:0x10:1:@5",     // trailing empty field in the spec
+	"reg:5@5",            // register without the required r prefix
+	"reg:r0x11@5",        // register index must be decimal
+	"reg:rr4@5",          // doubled prefix
+	"reg:r@5",            // prefix without an index
+	"radio:a1b2@",        // empty cycle on the payload form
+	"radio:a1 b2@5",      // whitespace inside the hex payload
+	"smash:4:0x1FF@5",    // smash value wider than a byte
+	"burst:0x10:300:1@5", // burst length wider than a byte
+	"@5",                 // empty spec
+	"sram:0x10:1",        // missing @CYCLE entirely
+	// Data addresses past the data space would wrap onto other bytes.
+	"sram:0x1100@5",      // one past the last data byte
+	"sram:0x2000:1@5",    // far past it
+	"burst:0x10F8:16@5",  // burst runs off the end
+	"burst:0x1100:1:0@5", // burst starts past the end
+}
+
 func TestParseInjectErrors(t *testing.T) {
-	bad := []string{
-		"",                      // empty
-		"sram:0x10",             // no cycle
-		"sram@5",                // missing address
-		"sram:0x10:1:2@5",       // too many fields
-		"sram:zz@5",             // non-numeric address
-		"burst:0x10@5",          // missing length
-		"burst:0x10:0@5",        // zero length
-		"reg:x5@5",              // bad register syntax
-		"reg:r32@5",             // register out of range
-		"reg:r1:9@5",            // bit out of range
-		"smash:0:0x41@5",        // zero length
-		"smash:4@5",             // missing value
-		"retaddr@5",             // missing target
-		"retaddr:0x10:0x20@5",   // extra field
-		"radio:@5",              // empty payload
-		"radio:abc@5",           // odd-length hex
-		"laser:0x10@5",          // unknown kind
-		"sram:0x10@not-a-cycle", // bad cycle
-		// Strictness pins: no trailing garbage, signs, or lax field forms
-		// may slip through anywhere in the spec or after @CYCLE.
-		"sram:0x10:1@5@6",    // second @: trailing garbage after the cycle
-		"sram:0x10:1@5 ",     // trailing whitespace after the cycle
-		"sram:0x10:1@5junk",  // trailing letters fused to the cycle
-		"sram:0x10:1@+5",     // signed cycle
-		"sram:0x10:1@-5",     // negative cycle
-		"sram:0x10:1@",       // empty cycle
-		"sram:+0x10:1@5",     // signed address
-		"sram:0x10:1:@5",     // trailing empty field in the spec
-		"reg:5@5",            // register without the required r prefix
-		"reg:r0x11@5",        // register index must be decimal
-		"reg:rr4@5",          // doubled prefix
-		"reg:r@5",            // prefix without an index
-		"radio:a1b2@",        // empty cycle on the payload form
-		"radio:a1 b2@5",      // whitespace inside the hex payload
-		"smash:4:0x1FF@5",    // smash value wider than a byte
-		"burst:0x10:300:1@5", // burst length wider than a byte
-		"@5",                 // empty spec
-		"sram:0x10:1",        // missing @CYCLE entirely
-	}
-	for _, s := range bad {
+	for _, s := range badInjects {
 		if in, err := ParseInject(s); err == nil {
 			t.Errorf("ParseInject(%q) accepted as %+v; want error", s, in)
 		}
@@ -206,4 +218,28 @@ func TestArmAllEmpty(t *testing.T) {
 	if err := m.Run(20); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseInject: whatever parses must render through String to a flag
+// that parses back to the same injection.
+func FuzzParseInject(f *testing.F) {
+	for _, c := range injectForms {
+		f.Add(c.in)
+	}
+	for _, s := range badInjects {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		in, err := ParseInject(s)
+		if err != nil {
+			return
+		}
+		again, err := ParseInject(in.String())
+		if err != nil {
+			t.Fatalf("%q parsed to %+v, whose rendering %q does not parse: %v", s, in, in.String(), err)
+		}
+		if !reflect.DeepEqual(again, in) {
+			t.Fatalf("%q: %+v renders as %q, which parses to %+v", s, in, in.String(), again)
+		}
+	})
 }

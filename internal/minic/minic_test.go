@@ -1,6 +1,7 @@
 package minic
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/progs"
@@ -317,27 +318,29 @@ void main() {
 	}
 }
 
+// badPrograms are sources Compile must reject.
+var badPrograms = []struct {
+	name string
+	src  string
+}{
+	{"no main", "int x;"},
+	{"undefined variable", "void main() { y = 1; }"},
+	{"undefined function", "void main() { frob(); }"},
+	{"duplicate global", "int x; int x; void main() {}"},
+	{"duplicate local", "void main() { int a; int a; }"},
+	{"array without index", "char b[4]; void main() { b = 1; }"},
+	{"index on scalar", "int s; void main() { s[0] = 1; }"},
+	{"too many params", "void f(int a,int b,int c,int d,int e) {} void main() {}"},
+	{"assign to constant", "void main() { 3 = 4; }"},
+	{"break outside loop", "void main() { break; }"},
+	{"bad token", "void main() { $; }"},
+	{"builtin arity", "void main() { uart_putc(); }"},
+	{"main with params", "void main(int x) {}"},
+	{"unterminated block", "void main() {"},
+}
+
 func TestCompileErrors(t *testing.T) {
-	tests := []struct {
-		name string
-		src  string
-	}{
-		{"no main", "int x;"},
-		{"undefined variable", "void main() { y = 1; }"},
-		{"undefined function", "void main() { frob(); }"},
-		{"duplicate global", "int x; int x; void main() {}"},
-		{"duplicate local", "void main() { int a; int a; }"},
-		{"array without index", "char b[4]; void main() { b = 1; }"},
-		{"index on scalar", "int s; void main() { s[0] = 1; }"},
-		{"too many params", "void f(int a,int b,int c,int d,int e) {} void main() {}"},
-		{"assign to constant", "void main() { 3 = 4; }"},
-		{"break outside loop", "void main() { break; }"},
-		{"bad token", "void main() { $; }"},
-		{"builtin arity", "void main() { uart_putc(); }"},
-		{"main with params", "void main(int x) {}"},
-		{"unterminated block", "void main() {"},
-	}
-	for _, tt := range tests {
+	for _, tt := range badPrograms {
 		t.Run(tt.name, func(t *testing.T) {
 			if _, err := Compile("bad", tt.src); err == nil {
 				t.Fatalf("expected a compile error for %q", tt.src)
@@ -461,4 +464,26 @@ void main() {
 	if got := heapInt(t, res, src, "c"); got != 1 {
 		t.Errorf("c = %d, want 1", got)
 	}
+}
+
+// FuzzCompile feeds the compiler arbitrary source. It must reject what it
+// cannot compile with an error, never a panic, and compile the rest the same
+// way every time.
+func FuzzCompile(f *testing.F) {
+	for _, tt := range badPrograms {
+		f.Add(tt.src)
+	}
+	f.Add("int a; void main() { a = 2 + 3 * 4; exit(); }")
+	f.Add("char b[4]; void main() { int i; i = 0; while (i < 4) { b[i] = i; i = i + 1; } }")
+	f.Add("int f(int n) { if (n < 2) return n; return f(n-1) + f(n-2); } int r; void main() { r = f(5); }")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Compile("fuzz", src)
+		if err != nil {
+			return
+		}
+		again, err := Compile("fuzz", src)
+		if err != nil || !slices.Equal(again.Words, p.Words) || again.Entry != p.Entry {
+			t.Fatalf("compiling %q twice disagrees (%v)", src, err)
+		}
+	})
 }

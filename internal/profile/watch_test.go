@@ -2,22 +2,27 @@ package profile
 
 import "testing"
 
+// watchForms are well-formed -watch flags and what they parse to.
+var watchForms = []struct {
+	in   string
+	want Watchpoint
+}{
+	{"0x100", Watchpoint{Addr: 0x100, Len: 1, Read: true, Write: true}},
+	{"256", Watchpoint{Addr: 256, Len: 1, Read: true, Write: true}},
+	{"0x100:2", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
+	{"0x100:2:r", Watchpoint{Addr: 0x100, Len: 2, Read: true}},
+	{"0x100:2:w", Watchpoint{Addr: 0x100, Len: 2, Write: true}},
+	{"0x100:2:rw", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
+	{"0x100:2:wr", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
+	{"0x100:w", Watchpoint{Addr: 0x100, Len: 1, Write: true}}, // len omitted
+	{"0xffff:1", Watchpoint{Addr: 0xffff, Len: 1, Read: true, Write: true}},
+}
+
+// badWatches are -watch flags ParseWatch must reject.
+var badWatches = []string{"", "zz", "0x10000", "0x100:0", "0xffff:2", "0x100:2:x", "0x100:2:rw:extra"}
+
 func TestParseWatch(t *testing.T) {
-	cases := []struct {
-		in   string
-		want Watchpoint
-	}{
-		{"0x100", Watchpoint{Addr: 0x100, Len: 1, Read: true, Write: true}},
-		{"256", Watchpoint{Addr: 256, Len: 1, Read: true, Write: true}},
-		{"0x100:2", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
-		{"0x100:2:r", Watchpoint{Addr: 0x100, Len: 2, Read: true}},
-		{"0x100:2:w", Watchpoint{Addr: 0x100, Len: 2, Write: true}},
-		{"0x100:2:rw", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
-		{"0x100:2:wr", Watchpoint{Addr: 0x100, Len: 2, Read: true, Write: true}},
-		{"0x100:w", Watchpoint{Addr: 0x100, Len: 1, Write: true}}, // len omitted
-		{"0xffff:1", Watchpoint{Addr: 0xffff, Len: 1, Read: true, Write: true}},
-	}
-	for _, c := range cases {
+	for _, c := range watchForms {
 		got, err := ParseWatch(c.in)
 		if err != nil {
 			t.Errorf("ParseWatch(%q): %v", c.in, err)
@@ -28,9 +33,7 @@ func TestParseWatch(t *testing.T) {
 		}
 	}
 
-	for _, bad := range []string{
-		"", "zz", "0x10000", "0x100:0", "0xffff:2", "0x100:2:x", "0x100:2:rw:extra",
-	} {
+	for _, bad := range badWatches {
 		if wp, err := ParseWatch(bad); err == nil {
 			t.Errorf("ParseWatch(%q) = %+v, want error", bad, wp)
 		}
@@ -79,4 +82,25 @@ func TestWatching(t *testing.T) {
 			t.Errorf("Watching(%#x, write=%v) = %v, want %v", c.addr, c.write, got, c.want)
 		}
 	}
+}
+
+// FuzzParseWatch: whatever parses must render through String to a flag
+// that parses back to the same watchpoint.
+func FuzzParseWatch(f *testing.F) {
+	for _, c := range watchForms {
+		f.Add(c.in)
+	}
+	for _, s := range badWatches {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		wp, err := ParseWatch(s)
+		if err != nil {
+			return
+		}
+		back, err := ParseWatch(wp.String())
+		if err != nil || back != wp {
+			t.Fatalf("%q parsed to %+v, rendered %q, re-parsed to %+v (%v)", s, wp, wp.String(), back, err)
+		}
+	})
 }

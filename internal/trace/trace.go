@@ -17,9 +17,11 @@
 package trace
 
 import (
+	"bytes"
 	"fmt"
+	"io"
 	"slices"
-	"strings"
+	"strconv"
 )
 
 // Kind classifies a trace event.
@@ -335,11 +337,39 @@ func (r *Recorder) Reset() { r.events, r.head, r.dropped = r.events[:0], 0, 0 }
 // Encode renders the stream as a canonical text dump, one event per line —
 // the byte-identical form the determinism tests compare.
 func (r *Recorder) Encode() []byte {
-	var b strings.Builder
-	for _, e := range r.Events() {
-		fmt.Fprintf(&b, "%d %d %d %d %d %d %q\n", e.Cycle, uint8(e.Kind), e.Task, e.Arg, e.Arg2, e.PC, e.Detail)
+	var b bytes.Buffer
+	r.WriteTo(&b)
+	return b.Bytes()
+}
+
+// WriteTo streams the Encode form to w a chunk at a time, so digesting or
+// copying a long stream never holds all of it.
+func (r *Recorder) WriteTo(w io.Writer) (int64, error) {
+	var n int64
+	buf := make([]byte, 0, 64<<10)
+	flush := func() error {
+		k, err := w.Write(buf)
+		n += int64(k)
+		buf = buf[:0]
+		return err
 	}
-	return []byte(b.String())
+	for _, e := range r.Events() {
+		// Appended field by field: the bytes of the Fprintf format
+		// "%d %d %d %d %d %d %q\n" at a fraction of the cost.
+		buf = strconv.AppendUint(buf, e.Cycle, 10)
+		buf = strconv.AppendUint(append(buf, ' '), uint64(e.Kind), 10)
+		buf = strconv.AppendInt(append(buf, ' '), int64(e.Task), 10)
+		buf = strconv.AppendUint(append(buf, ' '), e.Arg, 10)
+		buf = strconv.AppendUint(append(buf, ' '), e.Arg2, 10)
+		buf = strconv.AppendUint(append(buf, ' '), uint64(e.PC), 10)
+		buf = append(strconv.AppendQuote(append(buf, ' '), e.Detail), '\n')
+		if len(buf) >= 60<<10 {
+			if err := flush(); err != nil {
+				return n, err
+			}
+		}
+	}
+	return n, flush()
 }
 
 // TaskNames derives the id-to-name table from the spawn events in the

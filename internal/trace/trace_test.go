@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,6 +35,28 @@ func TestRecorderEmitAndEncode(t *testing.T) {
 	r.Reset()
 	if r.Len() != 0 || len(r.Encode()) != 0 {
 		t.Fatal("Reset did not clear events")
+	}
+}
+
+// TestEncodeSpansChunks pins the encoding over a stream several WriteTo
+// chunks long, extreme field values and quoted details included, against
+// the format it is defined by.
+func TestEncodeSpansChunks(t *testing.T) {
+	r := New()
+	var want strings.Builder
+	for i := 0; i < 5000; i++ {
+		e := Event{Cycle: uint64(i) << 40, Kind: Kind(i), Task: int32(i) - 2500, Arg: ^uint64(i),
+			Arg2: uint64(i), PC: ^uint32(i), Detail: []string{"", "blink", "a\"b\n", "héllo\x00"}[i%4]}
+		r.Emit(e)
+		fmt.Fprintf(&want, "%d %d %d %d %d %d %q\n", e.Cycle, uint8(e.Kind), e.Task, e.Arg, e.Arg2, e.PC, e.Detail)
+	}
+	var got bytes.Buffer
+	n, err := r.WriteTo(&got)
+	if err != nil || n != int64(got.Len()) || got.Len() < 3*64<<10 {
+		t.Fatalf("WriteTo = %d, %v for %d bytes", n, err, got.Len())
+	}
+	if got.String() != want.String() || string(r.Encode()) != want.String() {
+		t.Fatal("chunked encoding departs from the per-event format")
 	}
 }
 
