@@ -9,9 +9,9 @@
 #                       and the profiler
 #   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
 #   make bench          regenerate BENCH_energy.json and BENCH_interp.json
-#   make bench-interp   regenerate BENCH_interp.json (checked vs fast
-#                       interpreter throughput) and gate it against the
-#                       committed BENCH_interp.baseline.json
+#   make bench-interp   regenerate BENCH_interp.json (checked vs default
+#                       two-tier interpreter throughput) and gate it against
+#                       the committed BENCH_interp.baseline.json
 #   make bench-diff     diff BENCH_interp.json against the committed
 #                       baseline with the schema-aware comparator; fails on
 #                       out-of-band regressions
@@ -113,20 +113,19 @@ bench:
 	$(MAKE) bench-interp
 
 # The interp gate is host-relative where it can be: the suite-aggregate
-# fast/checked speedup must stay >= 1.3x, block translation must keep fused
-# mode >= 1.05x over the fast loop, and the end-to-end checked/fused figure
-# must stay >= 1.5x (the floor raised when translation landed). The armed
-# telemetry/energy passes must stay under 1% overhead, and a wide tolerance
-# band on the absolute MIPS floor keeps a slower CI host from flaking the
-# build.
+# checked/fused speedup of the default two-tier run over the stepwise Step
+# path must stay >= 1.5x (the floor raised when translation landed). Every
+# mode must simulate identical cycles, the armed telemetry/energy passes
+# must stay under 1% overhead, and a wide tolerance band on the absolute
+# MIPS floor keeps a slower CI host from flaking the build.
 bench-interp:
-	$(GO) run ./cmd/sensmart-bench -exp interp -reps 5 -out BENCH_interp.json -baseline BENCH_interp.baseline.json -min-speedup 1.3 -min-fused 1.05 -min-total 1.5
+	$(GO) run ./cmd/sensmart-bench -exp interp -reps 5 -out BENCH_interp.json -baseline BENCH_interp.baseline.json -min-total 1.5
 
 # Schema-aware cross-run diff of the freshly generated interp numbers
 # against the committed baseline. The 60% band is deliberately wide for the
 # same reason bench-interp's MIPS tolerance is: absolute wall-clock depends
-# on the host, and the hard invariants (cycle identity, suite speedup,
-# armed-telemetry overhead) are gated by bench-interp itself.
+# on the host, and the hard invariants (cycle identity, checked/fused
+# speedup, armed-telemetry overhead) are gated by bench-interp itself.
 bench-diff:
 	$(GO) run ./cmd/sensmart-bench -exp compare -old BENCH_interp.baseline.json -new BENCH_interp.json -tolerance 60
 

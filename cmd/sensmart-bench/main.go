@@ -69,11 +69,8 @@ func run(args []string) error {
 	traceOut := fs.String("trace", "", "with -exp overhead: run all seven kernel benchmarks as one traced multitask workload and write Chrome trace_event JSON here (load in ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "with -exp overhead: print the traced multitask workload's kernel metrics snapshot")
 	baseline := fs.String("baseline", "", "with -exp interp: gate the fresh results against this committed BENCH_interp baseline")
-	minSpeedup := fs.Float64("min-speedup", 1.3, "with -exp interp -baseline: required suite-aggregate fast/checked speedup (checked mode shares the predecoded cache, so this gates the run-loop structure, not the full gain over the pre-predecode interpreter)")
-	minFused := fs.Float64("min-fused", 1.05, "with -exp interp -baseline: required suite-aggregate fused/fast speedup from basic-block translation (SenSmart virtualizes every guest branch into a kernel trap, so fused blocks average a handful of instructions and the gain is bounded by trap-service time)")
 	minTotal := fs.Float64("min-total", 1.5, "with -exp interp -baseline: required suite-aggregate checked/fused speedup, the end-to-end figure the translation layer is accountable for")
-	fusedThreshold := fs.Int("fused-threshold", 0, "with -exp interp: block-translation landing threshold for the fused passes (0 = mcu default)")
-	tolerance := fs.Float64("tolerance", 50, "with -exp interp -baseline: allowed %% drop of serial fast MIPS below the baseline; with -exp compare: %% band inside which a metric counts as unchanged (wide band: absolute wall-clock is host-dependent)")
+	tolerance := fs.Float64("tolerance", 50, "with -exp interp -baseline: allowed %% drop of serial default-mode MIPS below the baseline; with -exp compare: %% band inside which a metric counts as unchanged (wide band: absolute wall-clock is host-dependent)")
 	seed := fs.Uint64("seed", 1, "with -exp faultcampaign: campaign seed (every trial site derives from it)")
 	trials := fs.Int("trials", 20, "with -exp faultcampaign: injected trials per benchmark")
 	prefix := fs.Uint64("prefix", 2_000_000, "with -exp warmstart: shared warm-up cycles skipped by restoring the checkpoint")
@@ -239,7 +236,7 @@ func run(args []string) error {
 			return write(*foldedOut, "folded stacks", prof.WriteFolded)
 		},
 		"interp": func() error {
-			b, err := experiment.BenchInterp(*reps, *parallel, *fusedThreshold)
+			b, err := experiment.BenchInterp(*reps, *parallel)
 			if err != nil {
 				return err
 			}
@@ -275,11 +272,11 @@ func run(args []string) error {
 			if err := json.Unmarshal(raw, &base); err != nil {
 				return fmt.Errorf("baseline %s: %w", *baseline, err)
 			}
-			if err := experiment.CheckInterpBaseline(b, &base, *minSpeedup, *minFused, *minTotal, *tolerance); err != nil {
+			if err := experiment.CheckInterpBaseline(b, &base, *minTotal, *tolerance); err != nil {
 				return err
 			}
-			fmt.Printf("interp gate: ok (suite speedup %.2fx, fused %.2fx on top, total %.2fx, serial %.1f MIPS vs baseline %.1f MIPS)\n",
-				b.SuiteSpeedup, b.FusedSuiteSpeedup, b.TotalSuiteSpeedup, b.SerialFastMIPS, base.SerialFastMIPS)
+			fmt.Printf("interp gate: ok (checked/fused %.2fx, serial %.1f MIPS vs baseline %.1f MIPS)\n",
+				b.TotalSuiteSpeedup, b.SerialFastMIPS, base.SerialFastMIPS)
 			return nil
 		},
 		"faultcampaign": func() error {

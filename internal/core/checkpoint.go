@@ -102,13 +102,14 @@ func (s *System) AdoptImage(parent *System) {
 	s.machine.AdoptImage(parent.machine)
 }
 
-// ArmCheckpoint arms a one-shot checkpoint: at the first run-loop boundary
-// whose cycle clock has reached at, the system captures a snapshot and hands
-// it to fn (with the capture error, if any). Arming a checkpoint never
-// perturbs the run — the hook fires only at boundaries the run would reach
-// anyway. fn may call ArmCheckpoint again to chain a later checkpoint, and
-// may call snapshot.Encode to persist the state; it must not call Run,
-// Restore, or Boot on this system.
+// ArmCheckpoint arms a one-shot checkpoint: at the first instruction
+// boundary whose cycle clock has reached at — the one a stepwise run
+// reaches, whichever interpreter tier runs — the system captures a snapshot
+// and hands it to fn (with the capture error, if any). Arming a checkpoint
+// never perturbs the run: it only bounds the fused tier at that cycle. fn
+// may call ArmCheckpoint again to chain a later checkpoint, and may call
+// snapshot.Encode to persist the state; it must not call Run, Restore, or
+// Boot on this system.
 func (s *System) ArmCheckpoint(at uint64, fn func(st *snapshot.State, err error)) {
 	s.machine.SetCheckpoint(at, func(uint64) {
 		fn(s.Snapshot())

@@ -82,9 +82,9 @@ func (o energyOption) apply(opts *options) { opts.kernelCfg.Energy = o.m }
 // transition points charge the meter's per-device ledgers (radio/UART bytes,
 // ADC conversions, timer spans, sleep cycles) and Metrics/telemetry samples
 // gain joules attribution. With no meter attached every charge site stays a
-// nil pointer compare, none of them on the interpreter's fast loop. Compose
-// with WithKernelConfig by passing WithEnergy after it (options apply in
-// order).
+// nil pointer compare, none of them on the interpreter's per-instruction
+// path. Compose with WithKernelConfig by passing WithEnergy after it
+// (options apply in order).
 func WithEnergy(m *energy.Meter) Option { return energyOption{m} }
 
 // WithTelemetry attaches a cycle-domain telemetry sampler: every

@@ -13,7 +13,7 @@
 // it closes (a timer prescaler change, a sleep advance), so no per-cycle or
 // per-instruction work happens anywhere. A detached meter costs one pointer
 // comparison at each transition site; none of the sites is on the
-// interpreter's fast loop.
+// interpreter's per-instruction path.
 package energy
 
 import "fmt"

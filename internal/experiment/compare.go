@@ -32,14 +32,14 @@ func loadBenchFile(path string) (*benchFile, error) {
 	// kind, written before the header existed) still classify.
 	var probe struct {
 		BenchMeta
-		SuiteSpeedup *float64 `json:"suite_speedup"`
+		SerialMIPS *float64 `json:"serial_fast_mips"`
 	}
 	if err := json.Unmarshal(raw, &probe); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	kind := probe.Kind
 	if kind == "" {
-		if probe.SuiteSpeedup == nil {
+		if probe.SerialMIPS == nil {
 			return nil, fmt.Errorf("%s: not a recognized BENCH_* payload (no kind header and no known shape)", path)
 		}
 		kind = "interp"
@@ -169,8 +169,8 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 		// Baselines written before block translation carry no fused columns;
 		// comparing against zeros would read as a regression, so only emit
 		// fused rows when both files have them.
-		haveFused := o.FusedSuiteSpeedup > 0 && n.FusedSuiteSpeedup > 0
-		if o.FusedSuiteSpeedup > 0 != (n.FusedSuiteSpeedup > 0) {
+		haveFused := o.TotalSuiteSpeedup > 0 && n.TotalSuiteSpeedup > 0
+		if o.TotalSuiteSpeedup > 0 != (n.TotalSuiteSpeedup > 0) {
 			notes = append(notes, "fused-translation columns present in only one file; skipped")
 		}
 		byName := make(map[string]InterpBenchPoint, len(o.Benchmarks))
@@ -185,24 +185,20 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 			}
 			delete(byName, np.Benchmark)
 			rows = append(rows,
-				compareRow{np.Benchmark, "fast_mips", "MIPS", op.FastMIPS, np.FastMIPS, true},
-				compareRow{np.Benchmark, "checked_mips", "MIPS", op.CheckedMIPS, np.CheckedMIPS, true},
-				compareRow{np.Benchmark, "speedup", "x", op.Speedup, np.Speedup, true})
+				compareRow{np.Benchmark, "checked_mips", "MIPS", op.CheckedMIPS, np.CheckedMIPS, true})
 			if haveFused {
 				rows = append(rows,
-					compareRow{np.Benchmark, "fused_mips", "MIPS", op.FusedMIPS, np.FusedMIPS, true},
-					compareRow{np.Benchmark, "fused_speedup", "x", op.FusedSpeedup, np.FusedSpeedup, true})
+					compareRow{np.Benchmark, "fused_mips", "MIPS", op.FusedMIPS, np.FusedMIPS, true})
 			}
 		}
 		for name := range byName {
 			missing("benchmark", name)
 		}
 		rows = append(rows,
-			compareRow{"suite", "serial_fast_mips", "MIPS", o.SerialFastMIPS, n.SerialFastMIPS, true},
-			compareRow{"suite", "suite_speedup", "x", o.SuiteSpeedup, n.SuiteSpeedup, true})
+			compareRow{"suite", "serial_fast_mips", "MIPS", o.SerialFastMIPS, n.SerialFastMIPS, true})
 		if haveFused {
 			rows = append(rows,
-				compareRow{"suite", "fused_suite_speedup", "x", o.FusedSuiteSpeedup, n.FusedSuiteSpeedup, true})
+				compareRow{"suite", "total_suite_speedup", "x", o.TotalSuiteSpeedup, n.TotalSuiteSpeedup, true})
 		}
 	case "faultcampaign":
 		o, n := oldF.faultcamp, newF.faultcamp

@@ -7,25 +7,21 @@ import (
 )
 
 // interpFixture builds a minimal but schema-complete interp payload.
-func interpFixture(fastMIPS float64) *InterpBench {
+func interpFixture(serialMIPS float64) *InterpBench {
 	b := &InterpBench{
 		BenchMeta:          NewBenchMeta("interp", "kernel7"),
 		Reps:               3,
 		SerialFastMs:       10,
-		SerialFastMIPS:     fastMIPS,
-		SuiteSpeedup:       3.0,
+		SerialFastMIPS:     serialMIPS,
 		FusedThreshold:     32,
-		FusedSuiteSpeedup:  2.0,
 		TotalSuiteSpeedup:  6.0,
 		AllCyclesIdentical: true,
 	}
 	b.Benchmarks = []InterpBenchPoint{
-		{Benchmark: "lfsr", Cycles: 1000, Instructions: 500, CheckedMs: 3, FastMs: 1, FusedMs: 0.5,
-			CheckedMIPS: fastMIPS / 3, FastMIPS: fastMIPS, FusedMIPS: 2 * fastMIPS,
-			Speedup: 3, FusedSpeedup: 2, CyclesIdentical: true},
-		{Benchmark: "sort", Cycles: 2000, Instructions: 900, CheckedMs: 6, FastMs: 2, FusedMs: 1,
-			CheckedMIPS: fastMIPS / 3, FastMIPS: fastMIPS, FusedMIPS: 2 * fastMIPS,
-			Speedup: 3, FusedSpeedup: 2, CyclesIdentical: true},
+		{Benchmark: "lfsr", Cycles: 1000, Instructions: 500, CheckedMs: 3, FusedMs: 0.5,
+			CheckedMIPS: serialMIPS / 3, FusedMIPS: 2 * serialMIPS, CyclesIdentical: true},
+		{Benchmark: "sort", Cycles: 2000, Instructions: 900, CheckedMs: 6, FusedMs: 1,
+			CheckedMIPS: serialMIPS / 3, FusedMIPS: 2 * serialMIPS, CyclesIdentical: true},
 	}
 	return b
 }
@@ -268,11 +264,11 @@ func TestCompareEnergyMissingBaselineNoted(t *testing.T) {
 func TestCheckInterpBaselineTelemetryGate(t *testing.T) {
 	base := interpFixture(100)
 	cur := interpFixture(100)
-	if err := CheckInterpBaseline(cur, base, 1.5, 1.3, 1.5, 40); err != nil {
+	if err := CheckInterpBaseline(cur, base, 1.5, 40); err != nil {
 		t.Fatalf("clean bench failed the gate: %v", err)
 	}
 	cur.TelemetryOverheadPct = 1.5
-	if err := CheckInterpBaseline(cur, base, 1.5, 1.3, 1.5, 40); err == nil {
+	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
 		t.Fatal("1.5% armed-telemetry overhead passed the <1% gate")
 	}
 }
@@ -283,17 +279,8 @@ func TestCheckInterpBaselineEnergyGate(t *testing.T) {
 	base := interpFixture(100)
 	cur := interpFixture(100)
 	cur.EnergyOverheadPct = 1.5
-	if err := CheckInterpBaseline(cur, base, 1.5, 1.3, 1.5, 40); err == nil {
+	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
 		t.Fatal("1.5% armed-energy overhead passed the <1% gate")
-	}
-}
-
-func TestCheckInterpBaselineFusedGate(t *testing.T) {
-	base := interpFixture(100)
-	cur := interpFixture(100)
-	cur.FusedSuiteSpeedup = 1.1
-	if err := CheckInterpBaseline(cur, base, 1.5, 1.3, 1.5, 40); err == nil {
-		t.Fatal("1.1x fused suite speedup passed the 1.3x gate")
 	}
 }
 
@@ -301,7 +288,7 @@ func TestCheckInterpBaselineTotalGate(t *testing.T) {
 	base := interpFixture(100)
 	cur := interpFixture(100)
 	cur.TotalSuiteSpeedup = 1.4
-	if err := CheckInterpBaseline(cur, base, 1.5, 1.3, 1.5, 40); err == nil {
+	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
 		t.Fatal("1.4x total suite speedup passed the 1.5x gate")
 	}
 }
@@ -310,12 +297,10 @@ func TestCompareInterpOldBaselineWithoutFusedColumns(t *testing.T) {
 	// A baseline written before block translation has zero fused columns;
 	// the comparator must skip them (with a note), not flag regressions.
 	old := interpFixture(100)
-	old.FusedSuiteSpeedup = 0
 	old.TotalSuiteSpeedup = 0
 	for i := range old.Benchmarks {
 		old.Benchmarks[i].FusedMs = 0
 		old.Benchmarks[i].FusedMIPS = 0
-		old.Benchmarks[i].FusedSpeedup = 0
 	}
 	oldPath := writeFixture(t, "old.json", old)
 	curPath := writeFixture(t, "new.json", interpFixture(100))

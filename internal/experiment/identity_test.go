@@ -28,8 +28,8 @@ import (
 
 // The identity matrix: every way this repo runs a workload off the straight
 // checked interpreter — resumed from a checkpoint, seeked through the
-// time-travel ring, run on the fast or fused tiers, observed by any subset of
-// the observers — must leave the same simulated result as a stepwise run.
+// time-travel ring, run on the fused tier, observed by any subset of the
+// observers — must leave the same simulated result as a stepwise run.
 // Cases are the seven kernel benchmarks and the lfsr+timer two-task mix.
 // Rows come in three families, each run by its own tests: full runs in every
 // interpreter mode and under each observer, resumes from a checkpoint, and
@@ -212,12 +212,11 @@ func (c identCase) boot(obs observers, mode string) (*core.System, error) {
 }
 
 // modes are the interpreter configurations: the checked per-instruction
-// loop, the event-horizon fast loop (translation off), and block translation
-// at threshold 1 (every block fuses on its first landing) and at the
-// default threshold.
+// Step path, and the two-tier default run with block translation at
+// threshold 1 (every block fuses on its first landing) and at the default
+// threshold.
 var modes = map[string]func(m *mcu.Machine){
-	"stepwise":      func(m *mcu.Machine) { m.SetStepwise(true); m.SetTranslation(-1) },
-	"fast":          func(m *mcu.Machine) { m.SetTranslation(-1) },
+	"stepwise":      func(m *mcu.Machine) { m.SetStepwise(true) },
 	"fused-1":       func(m *mcu.Machine) { m.SetTranslation(1) },
 	"fused-default": func(m *mcu.Machine) { m.SetTranslation(0) },
 }
@@ -243,8 +242,9 @@ type identProbe struct {
 
 // probes selects the stopping cycles from the reference run: a sampler-
 // cadence boundary near the midpoint, a cycle one past a trap entry (so a
-// checkpoint arms inside a kernel service window and quantizes to the next
-// run-loop boundary), and three pseudo-random cycles seeded from the name.
+// checkpoint arms inside a kernel service window and fires at the
+// instruction boundary after the service), and three pseudo-random cycles
+// seeded from the name.
 func probes(name string, total uint64, events []trace.Event) []identProbe {
 	const cadence = 65536
 	pts := []identProbe{{kind: "boundary", at: (total / 2) / cadence * cadence}}
@@ -310,6 +310,7 @@ type identFixture struct {
 	identCase
 	full   outcome // the stepwise run to completion
 	probes []identProbe
+	obs    observers            // what the chained run and its resumes carry
 	parent *core.System         // the chained run: the image parent of adopt rows
 	dbg    *timetravel.Debugger // the recorded run seek rows replay from
 
@@ -344,11 +345,12 @@ func (c identCase) fixture() (*identFixture, error) {
 	return &identFixture{identCase: c, full: ref.full, probes: slices.Clone(ref.probes)}, nil
 }
 
-// chain runs the case once with every probe armed as a checkpoint, each
-// callback arming the next, so one execution captures them all. Arming must
+// chain runs the case once under obs with every probe armed as a
+// checkpoint, each callback arming the next, so one execution captures them
+// all; the resume rows then restore into systems carrying obs. Arming must
 // not perturb the trajectory: the run must still match the reference.
-func (f *identFixture) chain() error {
-	parent, err := f.build(obsAll)
+func (f *identFixture) chain(obs observers) error {
+	parent, err := f.build(obs)
 	if err != nil {
 		return err
 	}
@@ -392,7 +394,7 @@ func (f *identFixture) chain() error {
 	if d := got.diff(f.full); d != "" {
 		return fmt.Errorf("arming checkpoints perturbed the run: %s", d)
 	}
-	f.parent = parent
+	f.parent, f.obs = parent, obs
 	return nil
 }
 
@@ -420,13 +422,13 @@ func (f *identFixture) record() error {
 	return nil
 }
 
-// resume restores p into a fresh fully observed system and runs it to
-// completion. Variant "adopt" restores the in-memory state sharing the
-// chained run's image copy-on-write; "bytes" decodes the wire blob and
-// restores over a privately loaded image — the path a -restore from disk
-// takes.
+// resume restores p into a fresh system carrying the chained run's
+// observers and runs it to completion. Variant "adopt" restores the
+// in-memory state sharing the chained run's image copy-on-write; "bytes"
+// decodes the wire blob and restores over a privately loaded image — the
+// path a -restore from disk takes.
 func (f *identFixture) resume(p *identProbe, variant string) (*core.System, error) {
-	child, err := f.build(obsAll)
+	child, err := f.build(f.obs)
 	if err != nil {
 		return nil, err
 	}
@@ -443,30 +445,31 @@ func (f *identFixture) resume(p *identProbe, variant string) (*core.System, erro
 }
 
 // fullRuns are the rows that boot the case and run it to completion in one
-// interpreter mode under one set of observers: the four modes under the
-// energy meter (the last is the meter alone at the default), translation off
-// and on under a trace recorder, a profiler and a telemetry sampler, and a
-// plain run with nothing attached. Every row matches the stepwise reference
-// on the clocks; a row's streams match the first row under the same
-// observers, since each stream also reports on its neighbours (Metrics
-// counts trace events, samples carry joules). fuses marks rows that must
-// dispatch fused blocks, or translation went unexercised.
+// interpreter mode under one set of observers: the three modes under the
+// energy meter, stepwise against the default under a trace recorder, a
+// profiler and a telemetry sampler (and threshold 1 under the sampler too),
+// and a plain run with nothing attached. Every row matches the stepwise
+// reference on the clocks; a row's streams match the first row under the
+// same observers, a stepwise run, since each stream also reports on its
+// neighbours (Metrics counts trace events, samples carry joules). fuses
+// marks rows that must dispatch fused blocks, or the fused tier went
+// unexercised.
 var fullRuns = []struct {
 	mode  string
 	obs   observers
 	fuses bool
 }{
 	{"stepwise", obsEnergy, false},
-	{"fast", obsEnergy, false},
 	{"fused-1", obsEnergy, true},
-	{"fused-default", obsEnergy, false},
-	{"fast", obsTrace, false},
-	{"fused-1", obsTrace, false},
-	{"fast", obsProfile, false},
-	{"fused-1", obsProfile, false},
-	{"fast", obsTelemetry, false},
+	{"fused-default", obsEnergy, true},
+	{"stepwise", obsTrace, false},
+	{"fused-default", obsTrace, true},
+	{"stepwise", obsProfile, false},
+	{"fused-default", obsProfile, false},
+	{"stepwise", obsTelemetry, false},
+	{"fused-default", obsTelemetry, true},
 	{"fused-1", obsTelemetry, true},
-	{"fused-default", 0, false},
+	{"fused-default", 0, true},
 }
 
 // obsNames names the observer bits, lowest first.
@@ -521,17 +524,27 @@ func (f *identFixture) modeRows() []identRow {
 
 // resumeRows restores the chained run's checkpoint at every probe through
 // variant and holds the resumed run against the stepwise run to completion.
+// Without a profiler, which keeps every instruction on Step, the resumed run
+// must dispatch fused blocks: that is the path that resumes the restored
+// hook schedule on the fused tier.
 func (f *identFixture) resumeRows(variant string) []identRow {
+	name := variant
+	if f.obs != obsAll {
+		name += "-unprofiled"
+	}
 	var rows []identRow
 	for i := range f.probes {
 		p := &f.probes[i]
 		rows = append(rows, identRow{
-			name: fmt.Sprintf("resume/%s at %s (cycle %d)", variant, p.kind, p.at),
+			name: fmt.Sprintf("resume/%s at %s (cycle %d)", name, p.kind, p.at),
 			want: func() (outcome, error) { return f.full, nil },
 			run: func() (outcome, error) {
 				sys, err := f.resume(p, variant)
 				if err != nil {
 					return outcome{}, err
+				}
+				if st := sys.Machine().TranslationStats(); f.obs&obsProfile == 0 && st.FusedDispatches == 0 {
+					return outcome{}, fmt.Errorf("resumed run dispatched no fused blocks: %+v", st)
 				}
 				return measure(sys, false)
 			},
@@ -629,16 +642,17 @@ func runRows(t *testing.T, workers int, rows []identRow) {
 // TestTranslatedSuiteIdentity runs the full-run rows on the seven kernel
 // benchmarks: every interpreter mode and every observer alone must simulate
 // the stepwise run's cycles, idle cycles and instructions, with streams
-// byte-identical whether translation is on or off. The threshold-1 rows must
-// dispatch fused blocks, or the mode proves nothing.
+// byte-identical between a stepwise and a default run under the same
+// observer. The rows marked fuses must dispatch fused blocks, or the mode
+// proves nothing.
 func TestTranslatedSuiteIdentity(t *testing.T) {
 	cs := identCases(t)
 	eachCase(t, cs[:len(cs)-1], func(t *testing.T, f *identFixture) { runRows(t, 8, f.modeRows()) })
 }
 
 // TestTranslationObserverByteIdentity runs the same rows on the lfsr+timer
-// two-task mix, whose observer streams also record task switches: fused
-// blocks must never leak into an observed run.
+// two-task mix, whose observer streams also record task switches: an
+// observed run on the fused tier must write the stepwise run's streams.
 func TestTranslationObserverByteIdentity(t *testing.T) {
 	cs := identCases(t)
 	eachCase(t, cs[len(cs)-1:], func(t *testing.T, f *identFixture) { runRows(t, 8, f.modeRows()) })
@@ -646,26 +660,32 @@ func TestTranslationObserverByteIdentity(t *testing.T) {
 
 // resumeIdentity checks every case's resume rows through variant on workers
 // goroutines, after the chained run that captures the probes has matched the
-// reference.
-func resumeIdentity(t *testing.T, workers int, variant string) {
+// reference: one chain per observer set in obs, each resumed into systems
+// carrying the same observers.
+func resumeIdentity(t *testing.T, workers int, variant string, obs ...observers) {
 	eachCase(t, identCases(t), func(t *testing.T, f *identFixture) {
-		if err := f.chain(); err != nil {
-			t.Fatal(err)
+		for _, o := range obs {
+			if err := f.chain(o); err != nil {
+				t.Fatal(err)
+			}
+			runRows(t, workers, f.resumeRows(variant))
 		}
-		runRows(t, workers, f.resumeRows(variant))
 	})
 }
 
 // TestResumeIdentitySerial restores every case at its five probes from the
 // snapshot wire bytes, one restore at a time; each resumed run must finish
 // byte-identical to the uninterrupted stepwise run.
-func TestResumeIdentitySerial(t *testing.T) { resumeIdentity(t, 1, "bytes") }
+func TestResumeIdentitySerial(t *testing.T) { resumeIdentity(t, 1, "bytes", obsAll) }
 
 // TestResumeIdentityPooled restores the same probes in process, every child
 // adopting the chained run's image copy-on-write, eight at a time — the
 // warm-checkpoint fan-out shape — so under -race the shared image and the
-// restore paths are checked for races.
-func TestResumeIdentityPooled(t *testing.T) { resumeIdentity(t, 8, "adopt") }
+// restore paths are checked for races. A second chain without the profiler
+// resumes its probes on the fused tier.
+func TestResumeIdentityPooled(t *testing.T) {
+	resumeIdentity(t, 8, "adopt", obsAll, obsAll&^obsProfile)
+}
 
 // seekIdentity checks every case's seek rows through variant on workers
 // goroutines, after the ring recording has matched the reference. The probes
@@ -700,7 +720,7 @@ func TestSeekIdentityPooled(t *testing.T) { seekIdentity(t, 8, "ring") }
 func TestRestoreDoesNotAliasSnapshot(t *testing.T) {
 	f, err := identCases(t)[0].fixture()
 	if err == nil {
-		err = f.chain()
+		err = f.chain(obsAll)
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -789,7 +809,7 @@ func TestConcurrentAdoptRestore(t *testing.T) {
 	cs := identCases(t)
 	f, err := cs[len(cs)-2].fixture() // the last kernel benchmark
 	if err == nil {
-		err = f.chain()
+		err = f.chain(obsAll)
 	}
 	if err != nil {
 		t.Fatal(err)

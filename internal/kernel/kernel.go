@@ -74,8 +74,8 @@ type Config struct {
 	// power-state spans into (see internal/energy); Metrics and telemetry
 	// samples then carry joules attribution. nil disables metering: every
 	// hook site is a single pointer comparison, and none of the sites is on
-	// the interpreter's fast loop — the same discipline as Trace/Profile/
-	// Telemetry.
+	// the interpreter's per-instruction path — the same discipline as
+	// Trace/Profile/Telemetry.
 	Energy *energy.Meter
 }
 
@@ -506,11 +506,11 @@ func (k *Kernel) Current() *Task {
 func (k *Kernel) Run(limit uint64) error {
 	m := k.M
 	for limit == 0 || m.Cycles() < limit {
-		// RunUntil batches execution through the machine's event-horizon
-		// fast loop (KTRAPs re-enter the kernel through the trap handler as
-		// before); it returns nil only once the limit is reached, and
-		// surfaces faults for the recovery paths below. The instruction that
-		// faulted has not advanced PC, so growth-and-retry still works.
+		// RunUntil batches execution through the machine's fused tier
+		// (KTRAPs re-enter the kernel through the trap handler as before);
+		// it returns nil only once the limit is reached, and surfaces
+		// faults for the recovery paths below. The instruction that faulted
+		// has not advanced PC, so growth-and-retry still works.
 		err := m.RunUntil(limit)
 		if err == nil {
 			continue

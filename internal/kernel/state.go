@@ -112,8 +112,10 @@ func (k *Kernel) CaptureState() *KernelState {
 // RestoreState applies a captured state to k, which must have admitted the
 // same programs in the same order as the snapshot's source (same task names
 // and load addresses) but must not have booted: restore replaces Boot, and
-// the caller resumes with Run as usual. Machine state (registers, SRAM,
-// guard) is restored separately via mcu.Machine.RestoreState.
+// the caller resumes with Run as usual. Region geometry and the saved SPs of
+// the tasks that are not running are checked before anything is applied.
+// Machine state (registers, SRAM, guard) is restored separately via
+// mcu.Machine.RestoreState.
 func (k *Kernel) RestoreState(st *KernelState) error {
 	if k.booted {
 		return fmt.Errorf("kernel: cannot restore onto a booted kernel")
@@ -132,22 +134,58 @@ func (k *Kernel) RestoreState(st *KernelState) error {
 	if st.Cur < -1 || st.Cur >= len(k.Tasks) {
 		return fmt.Errorf("kernel: snapshot current-task index %d out of range", st.Cur)
 	}
-	byID := make(map[int]*Task, len(k.Tasks))
+	byID := make(map[int]int, len(k.Tasks))
 	for i, t := range k.Tasks {
 		r := &st.Tasks[i]
 		if r.ID != t.ID || r.Name != t.Name || r.Base != t.Base {
 			return fmt.Errorf("kernel: snapshot task %d is %q@%#x, target admitted %q@%#x",
 				i, r.Name, r.Base, t.Name, t.Base)
 		}
-		byID[t.ID] = t
+		byID[t.ID] = i
 	}
+	// Section IV-C's geometry: listed regions lie inside the app area in
+	// address order, each p_l <= p_h <= p_u, none overlapping the next.
 	regions := make([]*Task, len(st.Regions))
+	listed := make(map[int]bool, len(st.Regions))
+	var prev *TaskRecord
 	for i, id := range st.Regions {
-		t, ok := byID[id]
+		ti, ok := byID[id]
 		if !ok {
 			return fmt.Errorf("kernel: snapshot region list names unknown task %d", id)
 		}
-		regions[i] = t
+		r := &st.Tasks[ti]
+		switch {
+		case listed[id]:
+			return fmt.Errorf("kernel: snapshot lists task %q's region twice", r.Name)
+		case r.PL < st.AppBase || r.PU > st.AppEnd:
+			return fmt.Errorf("kernel: snapshot task %q's region %#x..%#x lies outside the app area %#x..%#x",
+				r.Name, r.PL, r.PU, st.AppBase, st.AppEnd)
+		case r.PL > r.PH || r.PH > r.PU:
+			return fmt.Errorf("kernel: snapshot task %q's region has p_l %#x, p_h %#x, p_u %#x, want p_l <= p_h <= p_u",
+				r.Name, r.PL, r.PH, r.PU)
+		case prev != nil && r.PL < prev.PL:
+			return fmt.Errorf("kernel: snapshot task %q's region at %#x is listed after task %q's at %#x",
+				r.Name, r.PL, prev.Name, prev.PL)
+		case prev != nil && r.PL < prev.PU:
+			return fmt.Errorf("kernel: snapshot task %q's region at %#x overlaps task %q's, which ends at %#x",
+				r.Name, r.PL, prev.Name, prev.PU)
+		}
+		listed[id] = true
+		prev = r
+		regions[i] = k.Tasks[ti]
+	}
+	// A live task's saved SP lies in its stack area: from p_h-1 (full) up
+	// to p_u-1 (empty). The current task's saved SP is stale; the machine
+	// holds its live one.
+	for i := range st.Tasks {
+		r := &st.Tasks[i]
+		if i == st.Cur || TaskState(r.State) == TaskTerminated {
+			continue
+		}
+		if int(r.SPPhys) < int(r.PH)-1 || r.SPPhys >= r.PU {
+			return fmt.Errorf("kernel: snapshot task %q's saved SP %#x lies outside its stack %#x..%#x",
+				r.Name, r.SPPhys, int(r.PH)-1, r.PU)
+		}
 	}
 	for i, t := range k.Tasks {
 		r := &st.Tasks[i]

@@ -83,27 +83,11 @@ func BenchmarkStep(b *testing.B) {
 	reportMIPS(b, m, start)
 }
 
-// BenchmarkRunHotLoop measures the event-horizon fast loop on a pure ALU
-// loop with block translation disabled: the best case for the predecoded
-// per-op interpreter, and the before-side of BenchmarkRunTranslatedLoop.
-func BenchmarkRunHotLoop(b *testing.B) {
-	m := benchMachine(b, hotLoopSrc)
-	m.SetTranslation(-1)
-	start := m.Instructions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		// ~1000 cycles per RunUntil horizon slice.
-		if err := m.RunUntil(m.Cycles() + 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportMIPS(b, m, start)
-}
-
-// BenchmarkRunTranslatedLoop measures the same ALU loop with basic-block
-// translation forced on (threshold 1): the loop body executes as one fused
+// BenchmarkRunTranslatedLoop measures the hot ALU loop with basic-block
+// translation at threshold 1: the loop body executes as one fused
 // superinstruction per iteration, with SREG in a local, folded dead flags,
-// and one horizon check per block.
+// and one horizon check per block. BenchmarkStep is its checked-path
+// counterpart.
 func BenchmarkRunTranslatedLoop(b *testing.B) {
 	m := benchMachine(b, hotLoopSrc)
 	m.SetTranslation(1)
@@ -120,20 +104,4 @@ func BenchmarkRunTranslatedLoop(b *testing.B) {
 		b.Fatal("no fused blocks dispatched")
 	}
 	b.ReportMetric(float64(st.FusedInsts)/float64(m.Instructions()-start), "fused-frac")
-}
-
-// BenchmarkDispatch measures the fast loop over a mixed opcode stream that
-// defeats branch-target caching of any single handler (translation off, so
-// every instruction takes the dispatch path).
-func BenchmarkDispatch(b *testing.B) {
-	m := benchMachine(b, dispatchSrc)
-	m.SetTranslation(-1)
-	start := m.Instructions()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := m.RunUntil(m.Cycles() + 1000); err != nil {
-			b.Fatal(err)
-		}
-	}
-	reportMIPS(b, m, start)
 }

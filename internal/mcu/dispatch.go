@@ -40,14 +40,12 @@ type uop struct {
 	k      byte     // immediate byte, or precomputed bit mask
 	cycles uint8    // base cycle count
 	// checked marks ops whose handlers may change global execution state
-	// (KTRAP can halt, sleep, or switch tasks; SLEEP sets m.sleeping): the
-	// fast loop breaks after one so the run-loop preconditions are
-	// re-examined before the next fetch.
+	// (KTRAP can halt, sleep, or switch tasks; SLEEP sets m.sleeping), and
+	// ctl marks control transfers. RunUntil stops stepping after either, to
+	// re-run the ladder and offer the landing PC, a basic-block leader, to
+	// the fused tier (see translate.go).
 	checked bool
-	// ctl marks control transfers: the PC after one may be a basic-block
-	// leader, so the fast loop gives the block translator a chance to
-	// dispatch there (see translate.go).
-	ctl bool
+	ctl     bool
 }
 
 // dispatch maps each op to its handler. It is sized for a full byte index so

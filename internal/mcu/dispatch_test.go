@@ -168,8 +168,8 @@ table:
     .dw 0x4241
 `
 
-// TestFastStepwiseIdentity runs the same program through the event-horizon
-// fast loop and through per-instruction Step and requires bit-identical
+// TestFastStepwiseIdentity runs the same program through the default
+// two-tier run and through per-instruction Step and requires bit-identical
 // architectural state: cycles, retired instructions, PC, SP, SREG, and all of
 // data memory.
 func TestFastStepwiseIdentity(t *testing.T) {
@@ -204,10 +204,10 @@ func TestFastStepwiseIdentity(t *testing.T) {
 	}
 }
 
-// TestRunStopsAtDeviceHorizon checks that the fast loop never runs past a
+// TestRunStopsAtDeviceHorizon checks that the fused tier never runs past a
 // pending device event: an ADC conversion started inside the horizon must
 // complete at exactly the documented latency even though no per-instruction
-// device check happens in the inner loop.
+// device check happens inside a block.
 func TestRunStopsAtDeviceHorizon(t *testing.T) {
 	m := load(t, `
 main:

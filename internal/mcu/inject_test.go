@@ -74,7 +74,7 @@ loop:
 
 // TestInjectorDisarmedCycleIdentical checks that arming-then-disarming the
 // hook leaves execution cycle-identical to a run that never armed it, and
-// that a disarmed machine returns to the fast loop (mirrored by equal
+// that a disarmed machine returns to the fused tier (mirrored by equal
 // instruction counts).
 func TestInjectorDisarmedCycleIdentical(t *testing.T) {
 	src := `
@@ -302,7 +302,7 @@ func injectTrap(m *Machine, id uint16) error {
 	return nil
 }
 
-// injectFire is what one injector firing observed.
+// injectFire is what one hook firing observed.
 type injectFire struct {
 	cycle, insts uint64
 	pc           uint32
@@ -312,31 +312,53 @@ type injectFire struct {
 type injectRun struct {
 	m     *Machine
 	fires []injectFire
-	// fusedBeforeFire is the fused-dispatch count when the first injection
-	// fired.
+	// fusedBeforeFire is the fused-dispatch count when the first hook fired.
 	fusedBeforeFire uint64
 }
 
+// oneShot arms a boundary hook to call fire once, at the first instruction
+// boundary at or after cycle at.
+type oneShot func(m *Machine, at uint64, fire func(*Machine))
+
+// boundaryHooks are the hooks of the machine's schedule, each armed as a
+// one-shot: the injector, the checkpoint, and the sampler with an interval
+// of at (armed before at, its first boundary is at), detached as it fires.
+var boundaryHooks = []struct {
+	name string
+	arm  oneShot
+}{
+	{"injector", func(m *Machine, at uint64, fire func(*Machine)) { m.SetInjector(at, fire) }},
+	{"checkpoint", func(m *Machine, at uint64, fire func(*Machine)) {
+		m.SetCheckpoint(at, func(uint64) { fire(m) })
+	}},
+	{"sampler", func(m *Machine, at uint64, fire func(*Machine)) {
+		m.SetSampler(at, func(uint64) {
+			m.SetSampler(0, nil)
+			fire(m)
+		})
+	}},
+}
+
 // runInjectMode runs injectLoopSrc under one execution mode (stepwise, or a
-// translation threshold: -1 off, 1 every landing, 0 the default) with the
-// injection plan arm installs. arm receives the machine and the injection
-// body, which records the firing and flips r22; it returns the trap handler
-// hook, called on every KTRAP service (nil for none).
-func runInjectMode(t *testing.T, stepwise bool, threshold int,
-	arm func(m *Machine, inject func(*Machine)) func(*Machine)) injectRun {
+// translation threshold: 1 every landing, 0 the default) with the plan
+// place installs through hook. place receives the machine, the hook and the
+// firing body, which records the firing and flips r22; it returns the trap
+// handler hook, called on every KTRAP service (nil for none).
+func runInjectMode(t *testing.T, stepwise bool, threshold int, hook oneShot,
+	place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine)) injectRun {
 	t.Helper()
 	m := load(t, injectLoopSrc)
 	m.SetStepwise(stepwise)
 	m.SetTranslation(threshold)
 	var r injectRun
-	inject := func(mm *Machine) {
+	fire := func(mm *Machine) {
 		if len(r.fires) == 0 {
 			r.fusedBeforeFire = mm.TranslationStats().FusedDispatches
 		}
 		r.fires = append(r.fires, injectFire{cycle: mm.Cycles(), insts: mm.Instructions(), pc: mm.PC()})
 		mm.SetReg(22, mm.Reg(22)^0x5A)
 	}
-	onTrap := arm(m, inject)
+	onTrap := place(m, hook, fire)
 	m.SetTrapHandler(func(mm *Machine, id uint16) error {
 		if onTrap != nil {
 			onTrap(mm)
@@ -352,15 +374,16 @@ func runInjectMode(t *testing.T, stepwise bool, threshold int,
 	return r
 }
 
-// TestInjectorIdentityAcrossTiers requires an armed injector to fire at the
-// same boundary — same cycle, PC and retired-instruction count — and leave
-// the same final machine state whether the run steps every instruction,
-// runs the per-op fast loop, or fuses blocks. It also pins why that matters
-// for cost: with the default threshold the run dispatches fused blocks
-// while the injector waits, instead of stepping until it fires.
+// TestInjectorIdentityAcrossTiers requires every hook of the schedule — the
+// injector, the checkpoint and the sampler — to fire at the same boundary
+// (same cycle, PC and retired-instruction count) and leave the same final
+// machine state whether the run steps every instruction, fuses every block
+// on its first landing, or runs at the default threshold. It also pins why
+// that matters for cost: with the default threshold the run dispatches
+// fused blocks while a hook waits, instead of stepping until it fires.
 func TestInjectorIdentityAcrossTiers(t *testing.T) {
 	// The first Timer0 overflow at or after cycle 30000, read off an
-	// uninjected probe: an injection due exactly where a device event is.
+	// uninjected probe: a hook due exactly where a device event is.
 	probe := load(t, injectLoopSrc)
 	probe.SetTrapHandler(injectTrap)
 	if err := probe.Run(30_000); err != nil {
@@ -371,58 +394,62 @@ func TestInjectorIdentityAcrossTiers(t *testing.T) {
 	cases := []struct {
 		name  string
 		fires int
-		arm   func(m *Machine, inject func(*Machine)) func(*Machine)
+		place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine)
 	}{
-		{"hot loop", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
-			m.SetInjector(20_011, inject)
+		{"hot loop", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+			arm(m, 20_011, fire)
 			return nil
 		}},
-		{"device event", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
-			m.SetInjector(deviceEvent, inject)
+		{"device event", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+			arm(m, deviceEvent, fire)
 			return nil
 		}},
-		{"re-arm chain", 3, func(m *Machine, inject func(*Machine)) func(*Machine) {
+		{"re-arm chain", 3, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
 			links := 0
 			var link func(*Machine)
 			link = func(mm *Machine) {
-				inject(mm)
+				fire(mm)
 				if links++; links < 3 {
-					mm.SetInjector(mm.Cycles()+777*uint64(links), link)
+					arm(mm, mm.Cycles()+777*uint64(links), link)
 				}
 			}
-			m.SetInjector(15_000, link)
+			arm(m, 15_000, link)
 			return nil
 		}},
-		{"armed by a trap service", 1, func(m *Machine, inject func(*Machine)) func(*Machine) {
+		{"armed by a trap service", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
 			traps := 0
 			return func(mm *Machine) {
 				if traps++; traps == 20 {
-					mm.SetInjector(mm.Cycles()+41, inject)
+					arm(mm, mm.Cycles()+41, fire)
 				}
 			}
 		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			slow := runInjectMode(t, true, -1, tc.arm)
-			if len(slow.fires) != tc.fires {
-				t.Fatalf("stepwise run fired %d times, want %d", len(slow.fires), tc.fires)
-			}
-			for _, mode := range []struct {
-				name      string
-				threshold int
-			}{{"translation off", -1}, {"threshold 1", 1}, {"default threshold", 0}} {
-				got := runInjectMode(t, false, mode.threshold, tc.arm)
-				if !slices.Equal(got.fires, slow.fires) {
-					t.Errorf("%s: fired at %+v, stepwise at %+v", mode.name, got.fires, slow.fires)
-				}
-				requireSameState(t, mode.name, got.m, slow.m)
-				// The default mode keeps the fused tier while the injector
-				// is armed: blocks ran before the first firing.
-				if mode.threshold == 0 && got.fusedBeforeFire == 0 {
-					t.Errorf("default mode dispatched no fused block before the first firing: %+v",
-						got.m.TranslationStats())
-				}
+			for _, hook := range boundaryHooks {
+				t.Run(hook.name, func(t *testing.T) {
+					slow := runInjectMode(t, true, 0, hook.arm, tc.place)
+					if len(slow.fires) != tc.fires {
+						t.Fatalf("stepwise run fired %d times, want %d", len(slow.fires), tc.fires)
+					}
+					for _, mode := range []struct {
+						name      string
+						threshold int
+					}{{"threshold 1", 1}, {"default threshold", 0}} {
+						got := runInjectMode(t, false, mode.threshold, hook.arm, tc.place)
+						if !slices.Equal(got.fires, slow.fires) {
+							t.Errorf("%s: fired at %+v, stepwise at %+v", mode.name, got.fires, slow.fires)
+						}
+						requireSameState(t, mode.name, got.m, slow.m)
+						// The default mode keeps the fused tier while the
+						// hook is armed: blocks ran before the first firing.
+						if mode.threshold == 0 && got.fusedBeforeFire == 0 {
+							t.Errorf("default mode dispatched no fused block before the first firing: %+v",
+								got.m.TranslationStats())
+						}
+					}
+				})
 			}
 		})
 	}

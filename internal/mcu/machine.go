@@ -143,7 +143,7 @@ type Machine struct {
 	insts    uint64 // instructions executed since reset (host-MIPS metric)
 
 	// stepwise forces Run/RunUntil onto the fully-checked per-instruction
-	// Step path, disabling the event-horizon fast loop (bench comparator).
+	// Step path, disabling the fused tier (bench comparator).
 	stepwise bool
 
 	trap TrapHandler
@@ -151,6 +151,7 @@ type Machine struct {
 	// rec, when non-nil, receives cycle-stamped machine events (interrupt
 	// delivery, idle advances, halts, budget expiry). The nil state is the
 	// disabled state: every emission site is a single pointer comparison.
+	// No event is per-instruction, so a recorder runs on every tier.
 	rec *trace.Recorder
 
 	// Profiler hooks (internal/profile), nil-disabled like rec: with no
@@ -162,25 +163,25 @@ type Machine struct {
 	profIdle  func(n uint64)
 	profIntr  func(n uint64)
 
-	// sampleFn, when non-nil, fires at sampling boundaries of the telemetry
-	// layer: the first execution point at or after each multiple of
-	// sampleEvery. Nil-disabled like rec and the profiler hooks, and checked
-	// only in RunUntil's outer loop — never inside the fast loop — so an
-	// attached sampler still quantizes to trap/horizon granularity and a
-	// detached one costs one pointer comparison per horizon.
+	// The hook schedule. Three hooks fire at the first instruction boundary
+	// at or after a cycle: the telemetry sampler (at each multiple of
+	// sampleEvery, the next one sampleNext), the checkpoint (once, at
+	// ckptAt) and the fault injector (once, at injectAt). Each is
+	// nil-disabled. due is the earliest cycle an armed hook waits for
+	// (noEvent when none is armed), kept by schedule on every arm, disarm
+	// and fire, so the run loop tests all three with one compare and the
+	// fused tier takes due as a cycle bound. The sampler and the checkpoint
+	// fire in RunUntil's loop, before Step; the injector fires in Step,
+	// after device sync and before interrupt delivery. Callbacks may re-arm
+	// their own hook.
+	due         uint64
 	sampleFn    func(at uint64)
 	sampleEvery uint64
 	sampleNext  uint64
-
-	// injectFn, when non-nil, is an armed fault-injection hook: it fires at
-	// the first instruction boundary whose clock has reached injectAt, then
-	// disarms itself (the hook may re-arm from inside the callback to chain
-	// injections). It fires only in Step. Until then an armed injectAt is a
-	// cycle bound on the fast loop and fused blocks, exactly like the run's
-	// cycle budget, so they stop at that boundary and RunUntil hands it to
-	// Step; a disarmed hook costs one pointer comparison per horizon.
-	injectFn func(*Machine)
-	injectAt uint64
+	ckptFn      func(at uint64)
+	ckptAt      uint64
+	injectFn    func(*Machine)
+	injectAt    uint64
 
 	// memWatch, when non-nil, observes successful native SRAM accesses
 	// (loads, stores, pushes, pops) with the physical address; the kernel's
@@ -197,31 +198,19 @@ type Machine struct {
 
 	codeEnd uint32 // highest loaded word + 1, for diagnostics
 
-	// xl, when non-nil, is the basic-block superinstruction translator
-	// (translate.go): hot straight-line runs between control transfers
-	// execute as fused blocks with one horizon check per block. Only the
-	// event-horizon fast loop dispatches blocks — the checked Step path
-	// never does — and the block cache is derived state, invalidated on
-	// the same paths as the micro-op cache. Nil disables translation.
+	// xl is the basic-block superinstruction translator (translate.go):
+	// straight-line runs between control transfers execute as fused blocks
+	// with one horizon check per block. The block cache is derived state,
+	// invalidated on the same paths as the micro-op cache.
 	xl *translator
 
 	// meter, when non-nil, is the energy charge ledger (internal/energy).
 	// Nil-disabled like rec and the profiler hooks, and fed only at device
 	// power-state transitions (writeIO span starts, prescaler changes,
 	// sleep advances) — never on the per-instruction path — so an attached
-	// meter adds no work to the fast loop and a detached one costs one
+	// meter adds no work to the fused tier and a detached one costs one
 	// pointer comparison per transition.
 	meter *energy.Meter
-
-	// ckptFn, when non-nil, is an armed checkpoint hook: it fires at the
-	// first RunUntil outer-loop boundary whose clock has reached ckptAt,
-	// then disarms itself (the hook may re-arm from inside the callback to
-	// chain checkpoints). Unlike the injector it is never checked on the
-	// Step path and never bounds the fast tiers, so arming it cannot perturb
-	// the run's trajectory — the firing point quantizes to the same loop
-	// boundaries an attached sampler sees.
-	ckptFn func(at uint64)
-	ckptAt uint64
 
 	// The program image. Its 4 KB of page tables sit last, so they do not
 	// spread the per-instruction fields above over more cache lines. flash
@@ -273,23 +262,49 @@ func (m *Machine) AdoptImage(parent *Machine) {
 	// Translated blocks fuse decoded flash contents; any the adopter built
 	// against its previous image are stale now. The parent's blocks stay:
 	// its image is unchanged (and the translator is never shared).
-	if m.xl != nil {
-		m.xl.reset()
-	}
+	m.xl.reset()
 }
 
 // SetCheckpoint arms (or, with nil fn, disarms) the checkpoint hook: fn runs
-// once, with the nominal arming cycle, at the first RunUntil outer-loop
-// iteration whose clock has reached at. The hook disarms itself before
-// firing, so fn may call SetCheckpoint again to chain a later checkpoint.
-// The hook is deliberately not a per-Step check: it fires only at run-loop
-// boundaries (after device horizons, traps, or checked ops), so arming it
-// never changes which execution path the machine takes.
+// once, with the nominal arming cycle, at the first instruction boundary
+// whose clock has reached at, exactly where a stepwise run would reach it
+// (the hook bounds the fused tier like any due hook). The hook disarms
+// itself before firing, so fn may call SetCheckpoint again to chain a later
+// checkpoint. Arming it never changes the simulated trajectory.
 func (m *Machine) SetCheckpoint(at uint64, fn func(at uint64)) {
 	m.ckptFn = fn
 	m.ckptAt = at
 	if fn == nil {
 		m.ckptAt = 0
+	}
+	m.schedule()
+}
+
+// schedule recomputes due from the armed hooks.
+func (m *Machine) schedule() {
+	due := noEvent
+	if m.sampleFn != nil {
+		due = m.sampleNext
+	}
+	if m.ckptFn != nil {
+		due = min(due, m.ckptAt)
+	}
+	if m.injectFn != nil {
+		due = min(due, m.injectAt)
+	}
+	m.due = due
+}
+
+// fireDue fires the sampler and the checkpoint when their cycles have come.
+// A due injector is left to Step, which fires it after device sync.
+func (m *Machine) fireDue() {
+	if m.sampleFn != nil && m.cycle >= m.sampleNext {
+		m.fireSample()
+	}
+	if m.ckptFn != nil && m.cycle >= m.ckptAt {
+		fn, at := m.ckptFn, m.ckptAt
+		m.SetCheckpoint(0, nil)
+		fn(at)
 	}
 }
 
@@ -304,10 +319,9 @@ func (m *Machine) Reset() {
 	m.fault = nil
 	m.pending = 0
 	m.guardOn = false
-	m.injectFn = nil
-	m.injectAt = 0
 	m.dev.reset()
 	m.SetSP(DataSize - 1)
+	m.SetInjector(0, nil)
 }
 
 // LoadFlash copies words into program memory starting at word address base.
@@ -333,9 +347,7 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 	// Translated blocks fuse decoded words the same way; kill every block
 	// overlapping the patched range (a block's [leader, end) span covers
 	// operand words, so the base-1 case above is covered by overlap).
-	if m.xl != nil {
-		m.xl.invalidate(base, base+uint32(len(words)))
-	}
+	m.xl.invalidate(base, base+uint32(len(words)))
 	if end := base + uint32(len(words)); end > m.codeEnd {
 		m.codeEnd = end
 	}
@@ -367,10 +379,8 @@ func (m *Machine) FlashWord(addr uint32) uint16 {
 // decodes as KTRAP (the micro-op cache is dropped to apply the change).
 func (m *Machine) SetTrapHandler(h TrapHandler) {
 	m.trap = h
-	if m.xl != nil {
-		// Blocks fused under the old KTRAP decode rule are stale.
-		m.xl.reset()
-	}
+	// Blocks fused under the old KTRAP decode rule are stale.
+	m.xl.reset()
 	// Dropping every page leaves one shared with another machine intact
 	// for that machine.
 	m.uops = erasedUopTable
@@ -431,19 +441,21 @@ func (m *Machine) SetProfileHooks(h ProfileHooks) {
 
 // SetSampler installs (or, with nil fn or zero interval, removes) the
 // telemetry sampling hook. fn fires with the nominal boundary cycle `at`
-// (a multiple of every) at the first RunUntil outer-loop iteration whose
-// clock has reached it; after a long uninterrupted stretch (sleep, a wide
-// device horizon) only the latest crossed boundary fires, so samplers see
-// at most one sample per interval and never a catch-up flood. The clock is
-// simulated, so firing points are deterministic across runs and hosts.
+// (a multiple of every) at the first instruction boundary whose clock has
+// reached it, in every tier the one a stepwise run fires at; after a long
+// uninterrupted stretch (sleep) only the latest crossed boundary fires, so
+// samplers see at most one sample per interval and never a catch-up flood.
+// The clock is simulated, so firing points are deterministic across runs
+// and hosts.
 func (m *Machine) SetSampler(every uint64, fn func(at uint64)) {
 	if fn == nil || every == 0 {
 		m.sampleFn, m.sampleEvery, m.sampleNext = nil, 0, 0
-		return
+	} else {
+		m.sampleFn = fn
+		m.sampleEvery = every
+		m.sampleNext = (m.cycle/every + 1) * every
 	}
-	m.sampleFn = fn
-	m.sampleEvery = every
-	m.sampleNext = (m.cycle/every + 1) * every
+	m.schedule()
 }
 
 // fireSample invokes the sampling hook for the latest boundary the clock has
@@ -451,6 +463,7 @@ func (m *Machine) SetSampler(every uint64, fn func(at uint64)) {
 func (m *Machine) fireSample() {
 	next := (m.cycle/m.sampleEvery + 1) * m.sampleEvery
 	m.sampleNext = next
+	m.schedule()
 	m.sampleFn(next - m.sampleEvery)
 }
 
@@ -459,16 +472,15 @@ func (m *Machine) fireSample() {
 // has reached at, with the machine stopped there (after device sync, before
 // interrupt delivery and dispatch). The hook disarms itself before firing,
 // so fn may call SetInjector again to chain a later injection. While armed,
-// Run/RunUntil keep the fast loop and fused blocks with at folded into their
-// cycle budget, so the boundary is the same one per-instruction stepping
-// would fire at; disarmed, the hook costs one pointer comparison per
-// run-loop horizon.
+// at bounds the fused tier like any due hook, so the boundary is the same
+// one per-instruction stepping fires at.
 func (m *Machine) SetInjector(at uint64, fn func(*Machine)) {
 	m.injectFn = fn
 	m.injectAt = at
 	if fn == nil {
 		m.injectAt = 0
 	}
+	m.schedule()
 }
 
 // SetMemWatch installs (or, with nil, removes) the native-access watchpoint
@@ -623,145 +635,57 @@ func (m *Machine) Run(limit uint64) error {
 }
 
 // RunUntil is Run without the budget-expiry trace event (the kernel's run
-// loop emits its own). It executes the event-horizon fast loop whenever no
-// per-step check could fire: no fault, not sleeping, no pending interrupt,
-// no injection due, and no profiler or recorder hook attached. Inside a
-// horizon — up to the next device event or the cycle bound — instructions
-// dispatch straight through the micro-op cache with no per-step checks at
-// all; KTRAP and SLEEP entries are marked checked and run through one Step
-// so trap handlers and the sleep path see exactly the per-Step machine state
-// they always did. Everything else (traced, profiled, stepwise, injecting,
-// or interrupt-laden execution) falls back to the fully-checked Step, whose
-// semantics are untouched.
+// loop emits its own). It has two tiers. Step is the checked path: it runs
+// whenever the ladder has per-instruction work — a fault, sleep, or pending
+// interrupt to examine, stepwise mode, or an attached profiler — and for
+// one instruction after due hooks fire. Otherwise, up to the next device
+// event, the cycle limit and the hook schedule's due cycle, the fused tier
+// (runTranslated) dispatches translated blocks. Whatever it declines (a
+// cold leader, a SLEEP/BREAK/undecodable one, or a block whose worst case
+// does not fit before that stop) runs on Step until the next control
+// transfer lands on another leader. Both tiers stop at the instruction
+// boundary where a stepwise run fires each hook.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
-		if m.sampleFn != nil && m.cycle >= m.sampleNext {
-			m.fireSample()
-		}
-		if m.ckptFn != nil && m.cycle >= m.ckptAt {
-			// Disarm before firing so the hook can chain checkpoints by
-			// re-arming from inside the callback.
-			fn, at := m.ckptFn, m.ckptAt
-			m.ckptFn = nil
-			fn(at)
-		}
-		if m.fault != nil || m.sleeping || m.pending != 0 ||
-			m.stepwise || m.profInstr != nil || m.rec != nil ||
-			(m.injectFn != nil && m.cycle >= m.injectAt) {
-			if err := m.Step(); err != nil {
-				return err
-			}
-			continue
-		}
-		if m.cycle >= m.dev.nextEvent {
+		switch {
+		case m.cycle >= m.due:
+			m.fireDue()
+		case m.fault != nil || m.sleeping || m.pending != 0 || m.stepwise || m.profInstr != nil:
+		case m.cycle >= m.dev.nextEvent:
 			m.syncDevices()
 			continue
-		}
-		// The fast tiers stop at the first instruction boundary at or past
-		// bound, which is where the next iteration's Step fires a pending
-		// injection.
-		bound := m.bound(limit)
-		// Horizon entry is a block-leader point (trap return, post-sleep,
-		// post-interrupt resume): give the translator a chance to dispatch
-		// fused blocks before the per-op loop. The inline idx probe skips
-		// the call for leaders already proven untranslatable (syscall
-		// wrappers starting at a KTRAP, lone branches) — common landing
-		// points that would otherwise pay a function call per visit.
-		// runTranslated only runs a block whose worst case fits strictly
-		// inside the horizon and cycle bound, so afterwards the clock is
-		// still short of both; the re-check is defensive.
-		if m.xl != nil && m.xl.at(m.pc) != xlDead {
-			halt, err := m.runTranslated(bound)
+		default:
+			halt, err := m.runTranslated(limit)
 			if err != nil {
 				return err
 			}
-			if halt || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
-				continue
-			}
-		}
-		// Fast loop. Within the horizon nothing can set pending (syncDevices
-		// only runs once cycle reaches nextEvent, and I/O side effects that
-		// reschedule events re-check through dev.nextEvent below), so no
-		// per-instruction interrupt or device check is needed. A checked uop
-		// (KTRAP, SLEEP) executes exactly as Step would — the ladder Step
-		// runs first is all no-ops here — but the loop breaks afterwards so
-		// the fault/sleep/pending state the handler may have left behind is
-		// re-examined before the next instruction.
-		for {
-			pc := m.pc & (FlashWords - 1)
-			u := &m.uops[pageOf(pc)].v[pc%pageWords]
-			if u.in.Op == avr.OpInvalid {
-				if err := m.buildUop(pc); err != nil {
-					return m.faultf(FaultBadInst, 0, err.Error())
-				}
-				// buildUop gave the page a private copy (copy-on-write);
-				// re-point at the live page.
-				u = &m.uops[pageOf(pc)].v[pc%pageWords]
-			}
-			m.insts++
-			// Direct calls for the hottest opcodes (measured over the kernel
-			// benchmark suite these cover >95% of natively executed
-			// instructions). A direct call is predictable and lets the
-			// compiler inline the small handlers; everything else goes
-			// through the dispatch table exactly as before.
-			var err error
-			switch u.in.Op {
-			case avr.OpIn:
-				err = execIn(m, u)
-			case avr.OpSbrs:
-				err = execSbrs(m, u)
-			case avr.OpDec:
-				err = execDec(m, u)
-			case avr.OpAdd:
-				err = execAdd(m, u)
-			case avr.OpAdc:
-				err = execAdc(m, u)
-			case avr.OpLsr:
-				err = execLsr(m, u)
-			case avr.OpSbrc:
-				err = execSbrc(m, u)
-			case avr.OpLdi:
-				err = execLdi(m, u)
-			case avr.OpEor:
-				err = execEor(m, u)
-			case avr.OpBrbc:
-				err = execBrbc(m, u)
-			default:
-				err = dispatch[byte(u.in.Op)](m, u)
-			}
-			if err != nil {
-				return err
-			}
-			if u.checked || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
-				break
-			}
-			// The PC after a control transfer is a basic-block leader;
-			// dispatch translated blocks (counting the landing) before
-			// falling back to per-op execution. The inline idx probe skips
-			// the call when the landing is already known untranslatable.
-			if u.ctl && m.xl != nil && m.xl.at(m.pc) != xlDead {
-				halt, err := m.runTranslated(bound)
-				if err != nil {
+			// A declined PC steps to the next control transfer, KTRAP or
+			// SLEEP, whose landing the fused tier sees on the next pass.
+			for !halt && m.cycle < m.stop(limit) {
+				pc := m.pc & (FlashWords - 1)
+				if err := m.Step(); err != nil {
 					return err
 				}
-				if halt || m.cycle >= m.dev.nextEvent || (bound != 0 && m.cycle >= bound) {
-					break
-				}
+				u := &m.uops[pageOf(pc)].v[pc%pageWords]
+				halt = u.ctl || u.checked
 			}
+			continue
+		}
+		if err := m.Step(); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// bound is the cycle budget the fast tiers run under: limit (0 = none),
-// tightened to an armed injector's fire cycle. Like a budget, it stops them
-// at the first instruction boundary at or past it, so a pending injection
-// fires in Step at the boundary per-instruction stepping would fire it at.
-func (m *Machine) bound(limit uint64) uint64 {
-	if m.injectFn != nil && (limit == 0 || m.injectAt < limit) {
-		return m.injectAt
+// stop is the first cycle the fused tier must not reach: the device
+// horizon, tightened to the run's limit (0 = none) and the due cycle.
+func (m *Machine) stop(limit uint64) uint64 {
+	s := min(m.dev.nextEvent, m.due)
+	if limit != 0 && limit < s {
+		s = limit
 	}
-	return limit
+	return s
 }
 
 // Step executes one instruction (or delivers one interrupt / sleeps).
@@ -776,7 +700,7 @@ func (m *Machine) Step() error {
 		// Disarm before firing so the hook can chain a later injection by
 		// re-arming from inside the callback.
 		fn := m.injectFn
-		m.injectFn = nil
+		m.SetInjector(0, nil)
 		fn(m)
 	}
 	if m.pending != 0 && m.data[addrSREG]&flagI != 0 {
@@ -857,8 +781,8 @@ func (m *Machine) advanceSleep() error {
 func (m *Machine) Instructions() uint64 { return m.insts }
 
 // SetStepwise forces Run and RunUntil onto the fully-checked per-instruction
-// Step path, disabling the event-horizon fast loop. The benchmark harness
-// uses it as the before/after comparator; both modes are cycle-identical.
+// Step path, disabling the fused tier. It is the reference every identity
+// test holds the default run against; both modes are cycle-identical.
 func (m *Machine) SetStepwise(v bool) { m.stepwise = v }
 
 // ClearFault clears a recorded fault so a supervising kernel can recover

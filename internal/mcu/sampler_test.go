@@ -1,6 +1,7 @@
 package mcu
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/avr/asm"
@@ -21,8 +22,7 @@ func samplerMachine(t *testing.T, src string) *Machine {
 }
 
 // trapLoopSrc is an ALU loop punctuated by a KTRAP, like kernel-rewritten
-// code: each trap is a checked uop, so the fast loop breaks there and the
-// outer RunUntil loop — where the sampler check lives — runs regularly.
+// code: the fused tier chains blocks across the traps.
 const trapLoopSrc = `
 main:
     ldi r16, 1
@@ -35,12 +35,13 @@ loop:
     rjmp loop
 `
 
-// The fast loop runs uninterrupted between checked uops (KTRAPs here, as in
-// kernel-rewritten code), so sampling quantizes to those boundaries; with
-// the checked Step path (stepwise) it fires at instruction granularity.
-// Both must see boundaries exactly once, stamped with the boundary cycle.
+// The sampler fires at the first instruction boundary at or after each
+// boundary cycle, whichever tier runs: the default run's (boundary, fire
+// cycle) pairs must equal a stepwise run's, each boundary once, stamped
+// with its nominal cycle.
 func TestSamplerCadence(t *testing.T) {
-	for _, stepwise := range []bool{false, true} {
+	type fire struct{ at, cycle uint64 }
+	run := func(stepwise bool) []fire {
 		m := samplerMachine(t, trapLoopSrc)
 		m.SetTrapHandler(func(mm *Machine, id uint16) error {
 			mm.SetPC(mm.PC() + 2)
@@ -48,29 +49,27 @@ func TestSamplerCadence(t *testing.T) {
 			return nil
 		})
 		m.SetStepwise(stepwise)
-		var got []uint64
-		var fired []uint64
-		m.SetSampler(1000, func(at uint64) {
-			got = append(got, at)
-			fired = append(fired, m.Cycles())
-		})
+		var got []fire
+		m.SetSampler(1000, func(at uint64) { got = append(got, fire{at, m.Cycles()}) })
 		if err := m.RunUntil(10_500); err != nil {
 			t.Fatal(err)
 		}
-		if len(got) == 0 {
-			t.Fatalf("stepwise=%v: sampler never fired", stepwise)
+		if st := m.TranslationStats(); !stepwise && st.FusedDispatches == 0 {
+			t.Fatalf("default run dispatched no fused blocks: %+v", st)
 		}
-		for i, at := range got {
-			if at%1000 != 0 {
-				t.Fatalf("stepwise=%v: sample %d at %d is not a boundary", stepwise, i, at)
-			}
-			if i > 0 && at <= got[i-1] {
-				t.Fatalf("stepwise=%v: boundaries not strictly increasing: %v", stepwise, got)
-			}
-			if fired[i] < at {
-				t.Fatalf("stepwise=%v: fired at cycle %d before boundary %d", stepwise, fired[i], at)
-			}
+		return got
+	}
+	want, got := run(true), run(false)
+	if len(want) != 10 {
+		t.Fatalf("stepwise run fired %d samples, want 10: %v", len(want), want)
+	}
+	for i, f := range want {
+		if f.at != uint64(i+1)*1000 || f.cycle < f.at {
+			t.Fatalf("stepwise sample %d is %+v, want boundary %d fired at or after it", i, f, (i+1)*1000)
 		}
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("default run fired %v, stepwise %v", got, want)
 	}
 }
 

@@ -167,7 +167,7 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 // other afterward. Attached hooks (trap handler, recorder, profiler,
 // sampler) are left as wired by the machine's constructor; only the
 // sampler's schedule is restored, and its interval must match the
-// snapshot's.
+// snapshot's. The hook schedule's due cycle is recomputed from it.
 func (m *Machine) RestoreState(st *MachineState) error {
 	if len(st.Data) != DataSize {
 		return fmt.Errorf("%w: %d bytes, want %d", ErrSnapshotDataSize, len(st.Data), DataSize)
@@ -197,14 +197,13 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	if m.sampleFn != nil {
 		m.sampleNext = st.SampleNext
 	}
+	m.schedule()
 	m.codeEnd = st.CodeEnd
 	// The block cache is derived state, like the micro-op cache: the restore
 	// target may have been running unrelated code (its flash merely hashes
 	// equal now), so drop every translated block and landing counter rather
 	// than trust them. They rebuild from scratch, exactly as uops refetch.
-	if m.xl != nil {
-		m.xl.reset()
-	}
+	m.xl.reset()
 	m.dev = devices{
 		nextEvent:      st.Dev.NextEvent,
 		t0BaseCycle:    st.Dev.T0BaseCycle,

@@ -359,8 +359,8 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 }
 
 // TestCheckpointHookFiresOnceAtBoundary: the checkpoint hook fires exactly
-// once, at a run-loop boundary at or after the armed cycle, and arming it
-// does not change the machine's trajectory.
+// once, at the first instruction boundary at or after the armed cycle, and
+// arming it does not change the machine's trajectory.
 func TestCheckpointHookFiresOnceAtBoundary(t *testing.T) {
 	ref := load(t, stateWorkSrc)
 	wantUART, _, wantCycles, wantInsts := finishWork(t, ref)
@@ -381,5 +381,43 @@ func TestCheckpointHookFiresOnceAtBoundary(t *testing.T) {
 	}
 	if !bytes.Equal(gotUART, wantUART) || gotCycles != wantCycles || gotInsts != wantInsts {
 		t.Error("arming a checkpoint perturbed the run")
+	}
+}
+
+// TestRestoreReschedulesSampler restores a sampled machine's mid-run
+// snapshot into a machine that has already run past it. The restored run
+// must sample at the source run's boundaries: RestoreState reschedules the
+// hook schedule's due cycle from the snapshot's sampler instead of keeping
+// the target's later one, which would let the fused tier run past them.
+func TestRestoreReschedulesSampler(t *testing.T) {
+	type fire struct{ at, cycle uint64 }
+	sampled := func(m *Machine) *[]fire {
+		got := new([]fire)
+		m.SetSampler(700, func(at uint64) { *got = append(*got, fire{at, m.Cycles()}) })
+		return got
+	}
+	src := load(t, stateWorkSrc)
+	srcFires := sampled(src)
+	if err := src.Run(20_000); err != nil {
+		t.Fatal(err)
+	}
+	st, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := len(*srcFires)
+	finishWork(t, src)
+	want := (*srcFires)[before:]
+
+	target := load(t, stateWorkSrc)
+	targetFires := sampled(target)
+	finishWork(t, target)
+	*targetFires = nil
+	if err := target.RestoreState(st); err != nil {
+		t.Fatal(err)
+	}
+	finishWork(t, target)
+	if len(want) == 0 || !slices.Equal(*targetFires, want) {
+		t.Fatalf("restored run sampled %v, source run %v", *targetFires, want)
 	}
 }

@@ -5,38 +5,44 @@ import (
 	"repro/internal/ioregs"
 )
 
-// Basic-block superinstruction translation. The event-horizon fast loop pays
-// a fixed per-instruction toll even with predecoded micro-ops: a cache fetch,
-// a dispatch branch, an SREG read-modify-write through memory, and the
-// horizon/limit ladder. Hot straight-line runs can amortize all of it: once a
-// control-transfer landing point (a leader) has been reached often enough,
-// the block from that leader to its next terminator is translated into a
-// fused superinstruction — a flat []fop executed straight-line with SREG held
-// in a local, cycles charged from a precomputed running sum, PC and the
-// instruction counter flushed once per block, dead flag computations folded
-// away, and a single worst-case cycle/horizon check per block instead of one
-// per instruction.
+// Basic-block superinstruction translation: the fused tier of RunUntil.
+// Executing one predecoded micro-op at a time pays a fixed toll per
+// instruction: a cache fetch, a dispatch branch, an SREG read-modify-write
+// through memory, and the run loop's ladder. Hot straight-line runs amortize
+// all of it: once a control-transfer landing point (a leader) has been
+// reached often enough, the block from that leader to its next terminator is
+// translated into a fused superinstruction — a flat []fop executed
+// straight-line with SREG held in a local, cycles charged from a precomputed
+// running sum, PC and the instruction counter flushed once per block, dead
+// flag computations folded away, and a single worst-case cycle check per
+// block instead of one per instruction.
 //
 // Safety rules, in order of importance:
 //
-//   - Only the fast loop dispatches blocks. The checked Step path (stepwise,
-//     trace, profile, a due injection, interrupt delivery) never sees a fused
-//     block, so observers keep their per-instruction byte-identical streams.
+//   - Everything the fused tier does not take runs on Step, the checked
+//     path: stepwise mode, a profiler, interrupt delivery, sleep, a due hook,
+//     and every leader the fused tier declines, until the next control
+//     transfer. No observer but the profiler needs a per-instruction event,
+//     so a recorder, a sampler, a checkpoint or an energy meter runs on
+//     both tiers with byte-identical streams.
 //   - A block never contains a checked op (KTRAP, SLEEP), a BREAK, or an op
-//     whose I/O side effects can reschedule device events (OUT/SBI/CBI/STS to
+//     whose I/O side effects can reschedule device events (SBI/CBI/STS to
 //     a device register, and every indirect store, whose target is dynamic).
-//     Control transfers and device-writing ops may only appear as the block's
-//     terminator, executed through the ordinary dispatch table with all
-//     machine state flushed — so mid-block, dev.nextEvent is a constant.
+//     Control transfers and device-writing stores may only appear as the
+//     block's terminator, executed with all machine state flushed — so
+//     mid-block, dev.nextEvent moves only at an OUT to a device register,
+//     which re-checks the stop cycle inline (fOutDev). A lone terminator is
+//     a zero-op block, so only a SLEEP, BREAK or undecodable leader is
+//     dead.
 //   - A block is dispatched only when its worst-case cycle count fits
-//     strictly inside the current horizon and cycle bound (the run's budget,
-//     tightened to an armed injector's cycle). Every boundary the outer run
-//     loop could observe (sampler, checkpoint, injection, horizon sync)
-//     therefore lands on exactly the same cycle as per-instruction execution,
-//     because the per-op fallback finishes every horizon.
+//     strictly before the stop cycle: the device horizon, tightened to the
+//     run's budget and to the hook schedule's due cycle. Every boundary the
+//     run loop observes (sampler, checkpoint, injection, horizon sync)
+//     therefore lands on exactly the cycle per-instruction execution reaches,
+//     because Step finishes whatever a block cannot.
 //   - Faultable ops (SRAM loads/stores, push/pop) flush cycle, PC, and SREG
 //     before calling the shared guarded helpers, so a mid-block fault leaves
-//     precisely the architectural state the per-op path would have left.
+//     precisely the architectural state Step would have left.
 //   - The block cache is derived state, like the micro-op cache: flash writes
 //     kill every overlapping block (LoadFlash), SetTrapHandler and
 //     AdoptImage/RestoreState flush it, and snapshots never carry it.
@@ -53,8 +59,8 @@ const (
 	// cycles for a UART byte), keeping the one-check-per-block precheck
 	// meaningful.
 	maxBlockOps = 64
-	// xlDead marks a leader whose block is untranslatable (starts at a
-	// checked/undecodable op, or contains no fusible body).
+	// xlDead marks a leader whose block is untranslatable (a SLEEP, BREAK
+	// or undecodable word).
 	xlDead = int32(-1) << 30
 )
 
@@ -147,7 +153,7 @@ const (
 	tkBr                    // BRBS/BRBC: fused conditional branch on termK
 	tkSkip                  // CPSE/SBRC/SBRS/SBIC/SBIS: fused skip
 	tkSkipJmp               // fused skip over RJMP/JMP: conditional jump pair
-	tkTrap                  // KTRAP: kernel trap, then re-run the outer ladder
+	tkTrap                  // KTRAP: kernel trap, then re-check the ladder
 	tkSkipTrap              // fused skip over a KTRAP: the device-poll idiom
 )
 
@@ -254,17 +260,12 @@ func (x *translator) invalidate(base, end uint32) {
 	}
 }
 
-// SetTranslation configures basic-block translation: a negative threshold
-// disables it, zero selects DefaultTranslationThreshold, and a positive
-// value translates a block once its leader has been landed on that many
-// times (1 = translate on first landing). Reconfiguring drops any existing
-// blocks. Translation is enabled by default on a new machine.
+// SetTranslation sets the block-translation threshold: a block is translated
+// once its leader has been landed on threshold times (1 = on first landing;
+// zero or less selects DefaultTranslationThreshold). Reconfiguring drops any
+// existing blocks and counters.
 func (m *Machine) SetTranslation(threshold int) {
-	if threshold < 0 {
-		m.xl = nil
-		return
-	}
-	if threshold == 0 {
+	if threshold <= 0 {
 		threshold = DefaultTranslationThreshold
 	}
 	m.xl = newTranslator(int32(threshold))
@@ -286,12 +287,8 @@ type TranslationStats struct {
 	FusedInsts      uint64
 }
 
-// TranslationStats returns the block-cache counters (zero value when
-// translation is disabled).
+// TranslationStats returns the block-cache counters.
 func (m *Machine) TranslationStats() TranslationStats {
-	if m.xl == nil {
-		return TranslationStats{}
-	}
 	live := 0
 	for _, b := range m.xl.blocks {
 		if b != nil {
@@ -582,9 +579,9 @@ func foldFlags(b *block) {
 }
 
 // translateBlock builds the basic block whose leader is at pc, or nil when
-// no fusible body exists there. Discovery walks the predecoded micro-ops
-// (building them as needed), stops before checked/BREAK/undecodable words
-// and at page boundaries, and absorbs the first control transfer or
+// the leader is a SLEEP, BREAK or undecodable word. Discovery walks the
+// predecoded micro-ops (building them as needed), stops before those words
+// and at page boundaries, and absorbs the first control transfer, KTRAP or
 // device-writing store as the terminator.
 func (m *Machine) translateBlock(leader uint32) *block {
 	b := &block{leader: leader}
@@ -603,9 +600,9 @@ func (m *Machine) translateBlock(leader uint32) *block {
 				// A kernel trap terminates the block. The trap index and
 				// base cycle cost are captured here so dispatch can call
 				// the handler directly — exactly execKtrap with flushed
-				// state — and re-run the outer ladder's checks afterwards.
+				// state — and re-run the ladder's checks afterwards.
 				// The trap service's own cycle charges land after the
-				// horizon precheck, as they do per-op, so wcet stays the
+				// horizon precheck, as they do under Step, so wcet stays the
 				// body cost alone.
 				b.termPC = pc
 				b.end = pc + uint32(u.in.Op.Words())
@@ -615,7 +612,7 @@ func (m *Machine) translateBlock(leader uint32) *block {
 				b.wcet = cum
 				break
 			}
-			// The per-op path must reach this word itself (fault, sleep,
+			// Step must reach this word itself (fault, sleep,
 			// undecodable): end the block before it.
 			b.fallPC = pc
 			b.end = pc
@@ -643,7 +640,7 @@ func (m *Machine) translateBlock(leader uint32) *block {
 				// fusing it bakes in a decode of that word: extend end over it
 				// so a patch there kills the block (exactly mirroring the
 				// dynamic m.skip). An undecodable successor stays dynamic —
-				// the per-op skip handles it.
+				// the dispatched skip handles it.
 				nu, nerr := m.fetchUop(u.next)
 				if nerr != nil {
 					b.termKind = tkDispatch
@@ -715,11 +712,10 @@ func (m *Machine) translateBlock(leader uint32) *block {
 		b.ops = append(b.ops, f)
 		pc += words
 	}
-	if len(b.ops) == 0 && b.termKind != tkTrap {
-		// A lone non-trap terminator (or an immediate stop) fuses nothing.
-		// A lone KTRAP is worth keeping: virtualized branches land on trap
-		// after trap, and a pure-trap block lets runTranslated chain them
-		// without bouncing through the outer run loop.
+	if len(b.ops) == 0 && b.termKind == tkNone {
+		// An immediate stop: the leader is Step's to execute. A lone
+		// terminator is kept as a zero-op block, so runTranslated chains
+		// through it (virtualized branches land on trap after trap).
 		return nil
 	}
 	b.bodyCycles = cum
@@ -730,24 +726,18 @@ func (m *Machine) translateBlock(leader uint32) *block {
 	return b
 }
 
-// ladderDue reports whether the outer run loop has per-iteration work to do
-// right now — a fault, sleep, or pending interrupt to examine, a sampler or
-// checkpoint hook due, an observer mode the fast path must not run under, or
-// an injector armed to fire before bound, the cycle bound the caller runs
-// under. Block chaining across kernel traps re-checks exactly this set,
-// because a trap service can leave any of it behind. The injector clause
-// catches one the service armed after the caller derived bound; a due
-// injector needs none, because bound already stops the caller at its cycle.
-func (m *Machine) ladderDue(bound uint64) bool {
+// ladderDue reports whether RunUntil's ladder has work to do right now — a
+// fault, sleep, or pending interrupt to examine, stepwise mode or a profiler
+// that keeps execution on Step, or a due hook. Block chaining across kernel
+// traps re-checks exactly this set, because a trap service can leave any of
+// it behind, arming a hook included.
+func (m *Machine) ladderDue() bool {
 	return m.fault != nil || m.sleeping || m.pending != 0 ||
-		m.stepwise || m.profInstr != nil || m.rec != nil ||
-		m.bound(bound) != bound ||
-		(m.sampleFn != nil && m.cycle >= m.sampleNext) ||
-		(m.ckptFn != nil && m.cycle >= m.ckptAt)
+		m.stepwise || m.profInstr != nil || m.cycle >= m.due
 }
 
-// nextPC is the architectural PC after the op at index i — where the per-op
-// path would resume if the block stopped right after it.
+// nextPC is the architectural PC after the op at index i — where Step
+// would resume if the block stopped right after it.
 func (b *block) nextPC(i int) uint32 {
 	if i+1 < len(b.ops) {
 		return b.ops[i+1].pc
@@ -759,35 +749,30 @@ func (b *block) nextPC(i int) uint32 {
 }
 
 // runTranslated dispatches translated blocks for as long as the PC keeps
-// landing on leaders whose worst-case cycle cost fits strictly inside the
-// horizon and limit, the cycle bound RunUntil derived (the run's budget,
-// tightened to an armed injector's cycle). It also carries the landing
-// counters: it is called from the fast loop at horizon entry and after every
-// control transfer, which is exactly the leader definition. It is one flat
-// chaining loop: SREG, the instruction count, and the dispatch stats live in
-// locals across consecutive blocks, and are flushed only at kernel traps
-// (whose services observe machine state), at dispatch-table terminators, and
-// on exit. Fault paths flush before their guarded helpers exactly as the
-// per-op path would. A trap terminator calls the handler directly with
-// everything flushed — exactly execKtrap — then re-checks the outer run
-// loop's ladder conditions (halt=true: the caller must hand control back to
-// the outer ladder, not the fast loop). Returns on the first non-leader PC,
-// cold leader, or tight horizon — the per-op fast loop finishes the horizon
-// with unchanged per-instruction semantics.
+// landing on leaders whose worst-case cycle cost fits strictly before stop
+// (the device horizon, the run's limit and the due cycle). It also carries
+// the landing counters: RunUntil calls it at every ladder pass that reaches
+// the fused tier and after every control transfer Step executes, which is
+// exactly the leader definition. It is one flat chaining loop: SREG, the
+// instruction count, and the dispatch stats live in locals across
+// consecutive blocks, and are flushed only at kernel traps (whose services
+// observe machine state), at dispatch-table terminators, and on exit. Fault
+// paths flush before their guarded helpers exactly as Step would. A trap
+// terminator calls the handler directly with everything flushed — exactly
+// execKtrap — then re-checks the ladder (halt=true: the caller must hand
+// control back to the ladder). Returns halt=false on a cold or dead leader
+// or a block that does not fit: RunUntil then Steps to the next control
+// transfer.
 func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 	x := m.xl
 	sreg := m.data[addrSREG]
 	var done, fused, iters uint64
 	var b *block
-	// The first cycle a block body must not reach: the device horizon,
-	// tightened by the cycle bound. Fused ops cannot move dev.nextEvent, so
-	// the bound stays valid across chained dispatches and is refreshed only
-	// where it can move: kernel traps, dispatch-table terminators, and
-	// fOutDev (which re-checks inline).
-	stop := m.dev.nextEvent
-	if limit != 0 && limit < stop {
-		stop = limit
-	}
+	// The first cycle a block body must not reach. Fused ops cannot move
+	// dev.nextEvent or arm a hook, so stop stays valid across chained
+	// dispatches and is refreshed only where it can move: kernel traps,
+	// dispatch-table terminators, and fOutDev (which re-checks inline).
+	stop := m.stop(limit)
 loop:
 	for {
 		pc := m.pc & (FlashWords - 1)
@@ -1074,14 +1059,10 @@ loop:
 				// Exactly execOut: charge, then write. The write may
 				// reschedule device events, so re-check the remaining worst
 				// case against the new horizon; on a miss, leave the block
-				// with the per-op path's exact post-OUT state and let the
-				// outer loop sync.
+				// with Step's exact post-OUT state and let the ladder sync.
 				m.cycle = start + uint64(f.cum)
 				m.writeIO(f.a, m.data[f.d])
-				stop = m.dev.nextEvent
-				if limit != 0 && limit < stop {
-					stop = limit
-				}
+				stop = m.stop(limit)
 				if m.cycle+uint64(b.wcet-f.cum) >= stop {
 					m.pc = b.nextPC(i)
 					m.data[addrSREG] = sreg
@@ -1270,25 +1251,22 @@ loop:
 					err = m.fault
 					break loop
 				}
-				if m.ladderDue(limit) {
+				if m.ladderDue() {
 					halt = true
 					break loop
 				}
 				sreg = m.data[addrSREG]
-				stop = m.dev.nextEvent
-				if limit != 0 && limit < stop {
-					stop = limit
-				}
+				stop = m.stop(limit)
 			default:
 				m.cycle = c
 				m.pc = b.fallPC
 			}
 		case tkTrap:
 			// The kernel trap runs with everything flushed, exactly as
-			// execKtrap after the fast loop's checked-op step. The service
-			// may fault, sleep, switch tasks, move the horizon, or bring an
-			// observer hook due — re-check the outer ladder, and only keep
-			// dispatching when none of it fired.
+			// execKtrap does under Step. The service may fault, sleep,
+			// switch tasks, move the horizon, or arm or bring due a hook —
+			// re-check the ladder, and only keep dispatching when none of
+			// it fired.
 			done++
 			m.cycle = start + uint64(b.bodyCycles) + uint64(b.termCyc)
 			m.pc = b.termPC
@@ -1307,15 +1285,12 @@ loop:
 				err = m.fault
 				break loop
 			}
-			if m.ladderDue(limit) {
+			if m.ladderDue() {
 				halt = true
 				break loop
 			}
 			sreg = m.data[addrSREG]
-			stop = m.dev.nextEvent
-			if limit != 0 && limit < stop {
-				stop = limit
-			}
+			stop = m.stop(limit)
 		default: // tkDispatch
 			done++
 			m.cycle = start + uint64(b.bodyCycles)
@@ -1334,10 +1309,7 @@ loop:
 				break loop
 			}
 			sreg = m.data[addrSREG]
-			stop = m.dev.nextEvent
-			if limit != 0 && limit < stop {
-				stop = limit
-			}
+			stop = m.stop(limit)
 		}
 	}
 	m.insts += done

@@ -7,9 +7,9 @@ import (
 	"repro/internal/avr/asm"
 )
 
-// runMode runs identitySrc with the given translation threshold (-1 = off,
-// 1 = every block fuses on first landing) or fully stepwise, and returns the
-// finished machine.
+// runIdentityMode runs identitySrc with the given translation threshold (1 =
+// every block fuses on first landing, 0 = the default) or fully stepwise,
+// and returns the finished machine.
 func runIdentityMode(t *testing.T, stepwise bool, threshold int) *Machine {
 	t.Helper()
 	m := load(t, identitySrc)
@@ -49,21 +49,21 @@ func requireSameState(t *testing.T, name string, got, want *Machine) {
 }
 
 // TestTranslatedIdentity runs the identity program through the checked Step
-// path, the per-op fast loop (translation off), and the fused block path
-// (threshold 1), and requires bit-identical architectural state from all
-// three — and that the fused run actually dispatched blocks.
+// path and through the two-tier default run at threshold 1 and at the
+// default threshold, and requires bit-identical architectural state from
+// all three — and that the threshold-1 run actually dispatched blocks.
 func TestTranslatedIdentity(t *testing.T) {
-	slow := runIdentityMode(t, true, -1)
-	fast := runIdentityMode(t, false, -1)
+	slow := runIdentityMode(t, true, 0)
 	fused := runIdentityMode(t, false, 1)
-	requireSameState(t, "fast-vs-stepwise", fast, slow)
+	def := runIdentityMode(t, false, 0)
 	requireSameState(t, "fused-vs-stepwise", fused, slow)
+	requireSameState(t, "default-vs-stepwise", def, slow)
 	st := fused.TranslationStats()
 	if st.Built == 0 || st.FusedDispatches == 0 || st.FusedInsts == 0 {
 		t.Fatalf("fused run dispatched no blocks: %+v", st)
 	}
-	if off := fast.TranslationStats(); off != (TranslationStats{}) {
-		t.Errorf("translation-off run reported stats %+v, want zero", off)
+	if st := slow.TranslationStats(); st != (TranslationStats{}) {
+		t.Errorf("stepwise run reported stats %+v, want zero", st)
 	}
 }
 
@@ -173,8 +173,7 @@ main:
 // TestRestoreStateDropsTranslatedBlocks: the block cache is derived state. A
 // restore target that already translated blocks (against a hash-identical
 // image, so they would even be usable) must still drop and rebuild them —
-// and the restored continuation must match the source machine's, fused
-// against per-op.
+// and the restored continuation must match the source machine's.
 func TestRestoreStateDropsTranslatedBlocks(t *testing.T) {
 	src := load(t, stateWorkSrc)
 	src.SetTranslation(1)
@@ -273,7 +272,6 @@ func FuzzBlockInvalidation(f *testing.F) {
 			if fused {
 				m.SetTranslation(1)
 			} else {
-				m.SetTranslation(-1)
 				m.SetStepwise(true)
 			}
 			m.SetPC(base)

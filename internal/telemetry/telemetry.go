@@ -82,8 +82,9 @@ type TaskSample struct {
 // consecutive samples.
 type Sample struct {
 	// At is the nominal sample boundary (a multiple of Every); Cycle the
-	// machine clock when the snapshot was actually taken (>= At: sampling
-	// quantizes to instruction and kernel-service boundaries).
+	// machine clock when the snapshot was actually taken (>= At: the first
+	// instruction boundary at or after At, the same on every interpreter
+	// tier; a kernel service in flight moves it past the service).
 	At    uint64 `json:"at"`
 	Cycle uint64 `json:"cycle"`
 	// IdleCycles mirrors the machine's idle ledger.
