@@ -50,8 +50,9 @@ func parseDump(s string) ([]dumpSpec, error) {
 			if err != nil {
 				return nil, fmt.Errorf("bad -dump address in %q: %v", tok, err)
 			}
-			// The window must end inside the data space: reads past it would
-			// wrap and print other bytes under the requested addresses.
+			// The window must end inside the data space: Inspector.Mem stops
+			// at its end, so a longer window would print fewer bytes than
+			// asked for.
 			room := mcu.DataSize - addr
 			n, err := strconv.ParseUint(lens, 0, 16)
 			if err != nil || n == 0 || n > room {

@@ -1,11 +1,18 @@
 package main
 
 import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/mcu"
 )
+
+var update = flag.Bool("update", false, "rewrite the -debug session transcripts under testdata/")
 
 // counterSrc counts a heap byte with a spin delay, then parks in a sleep
 // loop — long-lived enough for ring checkpoints to fire and state to stay
@@ -167,21 +174,79 @@ func TestValidateDebugCombos(t *testing.T) {
 // fallback, ring restore, the Seek(0) boot state), dump every section kind.
 func TestSimToolDebugSeekDump(t *testing.T) {
 	src := writeTemp(t, counterSrc)
-	err := run([]string{"-debug", "-cycles", "300000", "-ring", "4", "-ring-every", "32768",
+	checkSession(t, "debug_seek_dump.txt", "-debug", "-cycles", "300000", "-ring", "4", "-ring-every", "32768",
 		"-at", "0", "-at", "100000", "-at", "299999",
-		"-dump", "regs,stack,mem:0x100+16,tasks,energy,events", src})
-	if err != nil {
-		t.Fatal(err)
-	}
+		"-dump", "regs,stack,mem:0x100+16,tasks,energy,events", src)
 }
 
 func TestSimToolDebugWithInjection(t *testing.T) {
 	src := writeTemp(t, counterSrc)
-	err := run([]string{"-debug", "-cycles", "200000", "-ring", "4", "-ring-every", "32768",
-		"-inject", "sram:0x100:7@60000", "-at", "100000", "-dump", "regs,mem:0x100+2", src})
+	checkSession(t, "debug_inject.txt", "-debug", "-cycles", "200000", "-ring", "4", "-ring-every", "32768",
+		"-inject", "sram:0x100:7@60000", "-at", "100000", "-dump", "regs,mem:0x100+2", src)
+}
+
+// checkSession runs the CLI and compares what it printed byte for byte with
+// the transcript testdata/golden (rewritten under -update). The transcript
+// pins every section a landed seek prints: registers, stack, memory, the
+// task table, joules and the trace tail.
+func checkSession(t *testing.T, golden string, args ...string) {
+	t.Helper()
+	got := captureStdout(t, func() error { return run(args) })
+	path := filepath.Join("testdata", golden)
+	if *update {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("reading transcript (regenerate with -update): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Errorf("session output differs from %s:\n%s", path, firstDiff(got, want))
+	}
+}
+
+// captureStdout runs fn with os.Stdout sent to a temporary file and returns
+// what fn printed.
+func captureStdout(t *testing.T, fn func() error) []byte {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	err = fn()
+	os.Stdout = saved
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// firstDiff renders the first line where got departs from want.
+func firstDiff(got, want []byte) string {
+	g, w := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			return fmt.Sprintf("line %d:\n got: %q\nwant: %q", i+1, gl, wl)
+		}
+	}
+	return "same lines, different bytes"
 }
 
 func TestSimToolDebugErrors(t *testing.T) {

@@ -41,9 +41,9 @@ func (s *System) Snapshot() (*snapshot.State, error) {
 // options, the same observers attached, and the same programs deployed in
 // the same order (the flash-image hash and task table are cross-checked).
 // After Restore, Run continues the computation exactly where the snapshot
-// left it. To also share the source system's flash and micro-op arrays
-// copy-on-write (skipping the per-restore image copy), call AdoptImage
-// first.
+// left it. A Fork of the source system is such a target, and it shares the
+// source's flash and micro-op cache copy-on-write instead of loading its own
+// copy.
 func (s *System) Restore(st *snapshot.State) error {
 	if st == nil || st.Machine == nil || st.Kernel == nil {
 		return fmt.Errorf("core: restore: snapshot is missing machine or kernel state")
@@ -92,14 +92,6 @@ func hasHave(has bool) string {
 		return "has"
 	}
 	return "does not have"
-}
-
-// AdoptImage shares parent's flash and predecoded micro-op cache with s,
-// copy-on-write (see mcu.Machine.AdoptImage). Use it before Restore when
-// fanning restored systems out of one warm parent in-process; both systems
-// must be quiescent when it is called.
-func (s *System) AdoptImage(parent *System) {
-	s.machine.AdoptImage(parent.machine)
 }
 
 // ArmCheckpoint arms a one-shot checkpoint: at the first instruction

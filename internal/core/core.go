@@ -118,6 +118,10 @@ func NewSystem(opts ...Option) *System {
 	for _, opt := range opts {
 		opt.apply(&o)
 	}
+	return newSystem(o)
+}
+
+func newSystem(o options) *System {
 	m := mcu.New()
 	return &System{
 		opts:    o,
@@ -125,6 +129,48 @@ func NewSystem(opts ...Option) *System {
 		kernel:  kernel.New(m, o.kernelCfg),
 		nats:    make(map[*image.Program]*rewriter.Naturalized),
 	}
+}
+
+// Fork returns an unbooted system built like s, without rewriting or
+// loading any program again. It has s's kernel and rewriter configuration
+// and fresh observers configured like s's: a trace recorder with the same
+// Limit, a sampler with the same interval and ring but no stream, a
+// profiler with the same options and watchpoints, an empty energy meter.
+// s's tasks are admitted again, in order, from s's naturalized programs
+// (later Deploys of s's programs reuse them too), and the fork shares s's
+// flash and micro-op cache copy-on-write (see mcu.Machine.AdoptImage). A
+// snapshot of s therefore restores into the fork in place of Boot. The
+// kernel configuration's Logf and OnTaskExit callbacks are shared with s. s
+// must be quiescent; forks of one s may be taken from several goroutines at
+// once.
+func (s *System) Fork() (*System, error) {
+	o := s.opts
+	cfg := &o.kernelCfg
+	if cfg.Trace != nil {
+		cfg.Trace = trace.NewLimited(cfg.Trace.Limit)
+	}
+	if cfg.Telemetry != nil {
+		cfg.Telemetry = cfg.Telemetry.Fork()
+	}
+	if cfg.Profile != nil {
+		cfg.Profile = cfg.Profile.Fork()
+	}
+	if cfg.Energy != nil {
+		cfg.Energy = new(energy.Meter)
+	}
+	f := newSystem(o)
+	for prog, nat := range s.nats {
+		f.nats[prog] = nat
+	}
+	for _, t := range s.tasks {
+		ft, err := f.kernel.AddTask(t.Name, t.Nat)
+		if err != nil {
+			return nil, err
+		}
+		f.tasks = append(f.tasks, ft)
+	}
+	f.machine.AdoptImage(s.machine)
+	return f, nil
 }
 
 // CompileString assembles AVR source into a program image (the compiler

@@ -221,10 +221,10 @@ var modes = map[string]func(m *mcu.Machine){
 	"fused-default": func(m *mcu.Machine) { m.SetTranslation(0) },
 }
 
-// stepwise runs a fully observed system on the checked per-instruction path
-// to limit: the reference every row is held against.
-func (c identCase) stepwise(limit uint64) (*core.System, error) {
-	sys, err := c.boot(obsAll, "stepwise")
+// stepwise runs a system carrying obs on the checked per-instruction path to
+// limit: the reference every row is held against.
+func (c identCase) stepwise(obs observers, limit uint64) (*core.System, error) {
+	sys, err := c.boot(obs, "stepwise")
 	if err != nil {
 		return nil, err
 	}
@@ -310,8 +310,8 @@ type identFixture struct {
 	identCase
 	full   outcome // the stepwise run to completion
 	probes []identProbe
-	obs    observers            // what the chained run and its resumes carry
-	parent *core.System         // the chained run: the image parent of adopt rows
+	obs    observers            // what the chained run or the recording carries
+	parent *core.System         // the chained run: what fork rows fork
 	dbg    *timetravel.Debugger // the recorded run seek rows replay from
 
 	ringSeeks, bootSeeks atomic.Int32 // where the seek rows replayed from
@@ -326,7 +326,7 @@ func (c identCase) fixture() (*identFixture, error) {
 		probes []identProbe
 	}
 	ref, err := memo("ref "+c.name, func() (reference, error) {
-		sys, err := c.stepwise(identLimit)
+		sys, err := c.stepwise(obsAll, identLimit)
 		if err != nil {
 			return reference{}, err
 		}
@@ -398,12 +398,12 @@ func (f *identFixture) chain(obs observers) error {
 	return nil
 }
 
-// record runs the case under a 4-slot time-travel ring that evicts its
-// oldest checkpoint, so probes in the first third of the run fall back to a
-// replay from boot and later ones restore from the ring. Arming the ring
-// must not perturb the run.
-func (f *identFixture) record() error {
-	d, err := timetravel.New(func() (*core.System, error) { return f.build(obsAll) },
+// record runs the case under obs and a 4-slot time-travel ring that evicts
+// its oldest checkpoint, so probes in the first third of the run fall back
+// to a replay from boot and later ones restore from the ring. Arming the
+// ring must not perturb the run.
+func (f *identFixture) record(obs observers) error {
+	d, err := timetravel.New(func() (*core.System, error) { return f.build(obs) },
 		timetravel.Config{Checkpoints: 4, Every: f.full.cycles / 6})
 	if err == nil {
 		err = d.Record(identLimit)
@@ -418,24 +418,25 @@ func (f *identFixture) record() error {
 	if d := got.diff(f.full); d != "" {
 		return fmt.Errorf("arming the checkpoint ring perturbed the run: %s", d)
 	}
-	f.dbg = d
+	f.dbg, f.obs = d, obs
 	return nil
 }
 
-// resume restores p into a fresh system carrying the chained run's
-// observers and runs it to completion. Variant "adopt" restores the
-// in-memory state sharing the chained run's image copy-on-write; "bytes"
-// decodes the wire blob and restores over a privately loaded image — the
-// path a -restore from disk takes.
+// resume restores p into a system carrying the chained run's observers and
+// runs it to completion. Variant "fork" restores the in-memory state into a
+// fork of the chained run, which shares its image copy-on-write; "bytes"
+// decodes the wire blob and restores into a fresh build over a privately
+// loaded image — the path a -restore from disk takes.
 func (f *identFixture) resume(p *identProbe, variant string) (*core.System, error) {
-	child, err := f.build(f.obs)
-	if err != nil {
-		return nil, err
-	}
+	var child *core.System
+	var err error
 	st := p.state
-	if variant == "adopt" {
-		child.AdoptImage(f.parent)
-	} else if st, err = snapshot.Decode(p.blob); err != nil {
+	if variant == "fork" {
+		child, err = f.parent.Fork()
+	} else if child, err = f.build(f.obs); err == nil {
+		st, err = snapshot.Decode(p.blob)
+	}
+	if err != nil {
 		return nil, err
 	}
 	if err := child.Restore(st); err != nil {
@@ -555,21 +556,26 @@ func (f *identFixture) resumeRows(variant string) []identRow {
 
 // seekRows seeks the recorded run to every probe — variant "ring" restores
 // the ring's in-memory state, "bytes" its wire bytes — and holds the landed
-// system against a stepwise Run(cycle) stopped there. That reference is
-// computed once per probe per test binary, whichever variant gets there
-// first.
+// system against a stepwise Run(cycle) stopped there under the recording's
+// observers. That reference is computed once per probe and observer set per
+// test binary, whichever variant gets there first. Without a profiler,
+// which keeps every instruction on Step, the replay must dispatch fused
+// blocks: seeks replay on the default two-tier interpreter.
 func (f *identFixture) seekRows(variant string) []identRow {
-	seek := f.dbg.Seek
+	seek, name, obs := f.dbg.Seek, variant, f.obs
 	if variant == "bytes" {
 		seek = f.dbg.SeekBytes
+	}
+	if obs != obsAll {
+		name += "-unprofiled"
 	}
 	var rows []identRow
 	for _, p := range f.probes {
 		rows = append(rows, identRow{
-			name: fmt.Sprintf("seek/%s at %s (cycle %d)", variant, p.kind, p.at),
+			name: fmt.Sprintf("seek/%s at %s (cycle %d)", name, p.kind, p.at),
 			want: func() (outcome, error) {
-				return memo(fmt.Sprintf("seek %s@%d", f.name, p.at), func() (outcome, error) {
-					sys, err := f.stepwise(p.at)
+				return memo(fmt.Sprintf("seek %s@%d obs %d", f.name, p.at, obs), func() (outcome, error) {
+					sys, err := f.stepwise(obs, p.at)
 					if err != nil {
 						return outcome{}, err
 					}
@@ -586,7 +592,11 @@ func (f *identFixture) seekRows(variant string) []identRow {
 				} else {
 					f.bootSeeks.Add(1)
 				}
-				return measure(insp.System(), true)
+				sys := insp.System()
+				if st := sys.Machine().TranslationStats(); obs&obsProfile == 0 && st.FusedDispatches == 0 {
+					return outcome{}, fmt.Errorf("seek replay dispatched no fused blocks: %+v", st)
+				}
+				return measure(sys, true)
 			},
 		})
 	}
@@ -678,24 +688,27 @@ func resumeIdentity(t *testing.T, workers int, variant string, obs ...observers)
 // byte-identical to the uninterrupted stepwise run.
 func TestResumeIdentitySerial(t *testing.T) { resumeIdentity(t, 1, "bytes", obsAll) }
 
-// TestResumeIdentityPooled restores the same probes in process, every child
-// adopting the chained run's image copy-on-write, eight at a time — the
-// warm-checkpoint fan-out shape — so under -race the shared image and the
-// restore paths are checked for races. A second chain without the profiler
+// TestResumeIdentityPooled restores the same probes in process, every child a
+// fork of the chained run sharing its image copy-on-write, eight at a time —
+// the warm-checkpoint fan-out shape — so under -race the forks, the shared
+// image and the restore paths are checked for races. A second chain without the profiler
 // resumes its probes on the fused tier.
 func TestResumeIdentityPooled(t *testing.T) {
-	resumeIdentity(t, 8, "adopt", obsAll, obsAll&^obsProfile)
+	resumeIdentity(t, 8, "fork", obsAll, obsAll&^obsProfile)
 }
 
 // seekIdentity checks every case's seek rows through variant on workers
-// goroutines, after the ring recording has matched the reference. The probes
-// must land both on ring restores and on boot fallbacks.
-func seekIdentity(t *testing.T, workers int, variant string) {
+// goroutines, after the ring recording has matched the reference: one
+// recording per observer set in obs. The probes must land both on ring
+// restores and on boot fallbacks.
+func seekIdentity(t *testing.T, workers int, variant string, obs ...observers) {
 	eachCase(t, identCases(t), func(t *testing.T, f *identFixture) {
-		if err := f.record(); err != nil {
-			t.Fatal(err)
+		for _, o := range obs {
+			if err := f.record(o); err != nil {
+				t.Fatal(err)
+			}
+			runRows(t, workers, f.seekRows(variant))
 		}
-		runRows(t, workers, f.seekRows(variant))
 		if f.ringSeeks.Load() == 0 || f.bootSeeks.Load() == 0 {
 			t.Errorf("%d seeks restored from the ring and %d fell back to boot; want both kinds",
 				f.ringSeeks.Load(), f.bootSeeks.Load())
@@ -706,12 +719,16 @@ func seekIdentity(t *testing.T, workers int, variant string) {
 // TestSeekIdentitySerial seeks every case to its five probes from the ring's
 // wire bytes, one seek at a time; the landed system's snapshot bytes and
 // streams must match a straight stepwise run to the same cycle.
-func TestSeekIdentitySerial(t *testing.T) { seekIdentity(t, 1, "bytes") }
+func TestSeekIdentitySerial(t *testing.T) { seekIdentity(t, 1, "bytes", obsAll) }
 
 // TestSeekIdentityPooled seeks the same probes from the ring's in-memory
 // states, eight at a time out of one shared debugger; under -race this pins
-// concurrent seeks (copy-on-write image adoption included) as race-free.
-func TestSeekIdentityPooled(t *testing.T) { seekIdentity(t, 8, "ring") }
+// concurrent seeks (forks of the recorded system and copy-on-write image
+// adoption included) as race-free. A second recording without the profiler
+// replays its seeks on fused blocks.
+func TestSeekIdentityPooled(t *testing.T) {
+	seekIdentity(t, 8, "ring", obsAll, obsAll&^obsProfile)
+}
 
 // TestRestoreDoesNotAliasSnapshot scribbles over every mutable buffer of a
 // snapshot after restoring from it; the restored run must be unaffected.
@@ -801,10 +818,10 @@ func TestRestoreDoesNotAliasSnapshot(t *testing.T) {
 }
 
 // TestConcurrentAdoptRestore fans eight children out of one parent at once:
-// every child adopts the parent's image copy-on-write, restores the same
-// in-memory snapshot, and runs to completion on its own goroutine. All eight
-// must match the reference; under -race this pins the shared-image fan-out as
-// race-free.
+// every child is a fork of the parent adopting its image copy-on-write,
+// restores the same in-memory snapshot, and runs to completion on its own
+// goroutine. All eight must match the reference; under -race this pins
+// concurrent forks and the shared-image fan-out as race-free.
 func TestConcurrentAdoptRestore(t *testing.T) {
 	cs := identCases(t)
 	f, err := cs[len(cs)-2].fixture() // the last kernel benchmark
@@ -815,7 +832,7 @@ func TestConcurrentAdoptRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	diffs, err := runPoints(8, 8, func(int) (string, error) {
-		sys, err := f.resume(&f.probes[0], "adopt")
+		sys, err := f.resume(&f.probes[0], "fork")
 		if err != nil {
 			return "", err
 		}
@@ -839,7 +856,7 @@ func TestConcurrentAdoptRestore(t *testing.T) {
 func TestSeekFirstAgainstLinearScan(t *testing.T) {
 	f, err := identCases(t)[0].fixture()
 	if err == nil {
-		err = f.record()
+		err = f.record(obsAll)
 	}
 	if err != nil {
 		t.Fatal(err)

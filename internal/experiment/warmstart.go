@@ -91,11 +91,11 @@ func warmstartRow(sys *core.System, budget uint64) (WarmstartRow, error) {
 
 // BenchWarmstart measures the warm-checkpoint fan-out the snapshot subsystem
 // exists for. Cold pass: every budget runs from cycle 0. Warm pass: one
-// parent boots, runs to prefix, checkpoints; every budget then restores from
-// the serialized checkpoint (sharing the parent's flash image copy-on-write)
-// and runs only the suffix. Both passes use the same worker pool, so the
-// speedup isolates the skipped prefix. points budgets are spaced one prefix
-// apart starting at 2*prefix.
+// parent boots, runs to prefix, checkpoints; every budget then restores the
+// serialized checkpoint into a fork of the parent (sharing its flash image
+// copy-on-write) and runs only the suffix. Both passes use the same worker
+// pool, so the speedup isolates the skipped prefix. points budgets are
+// spaced one prefix apart starting at 2*prefix.
 func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, error) {
 	if prefix == 0 {
 		prefix = 2_000_000
@@ -165,11 +165,10 @@ func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, erro
 	warm, err := runPoints(r.workers(), points, runProgress(r, "warmstart/warm", points,
 		func(row WarmstartRow) uint64 { return row.Cycles },
 		func(i int) (WarmstartRow, error) {
-			sys, _, err := warmstartSystem()
+			sys, err := parent.Fork()
 			if err != nil {
 				return WarmstartRow{}, err
 			}
-			sys.AdoptImage(parent)
 			if err := sys.Restore(decoded); err != nil {
 				return WarmstartRow{}, err
 			}

@@ -17,6 +17,7 @@
 package profile
 
 import (
+	"slices"
 	"sort"
 
 	"repro/internal/rewriter"
@@ -105,6 +106,13 @@ func New(o Options) *Profiler {
 	p.register(MachineTask, "machine", 0, 0, 0)
 	p.cur = p.tasks[MachineTask]
 	return p
+}
+
+// Fork returns an empty profiler with p's options and armed watchpoints.
+func (p *Profiler) Fork() *Profiler {
+	q := New(p.o)
+	q.watches = slices.Clone(p.watches)
+	return q
 }
 
 // Bind attaches the symbolizer, trace recorder, and clock the kernel wires

@@ -185,6 +185,10 @@ func New(o Options) *Sampler {
 	}
 }
 
+// Fork returns an empty sampler with s's interval and ring capacity and no
+// stream, so a second system sampled like s's writes nothing to s's sink.
+func (s *Sampler) Fork() *Sampler { return New(Options{Every: s.every, Ring: s.ring}) }
+
 // Every returns the sampling interval in cycles.
 func (s *Sampler) Every() uint64 { return s.every }
 

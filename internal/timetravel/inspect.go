@@ -59,9 +59,11 @@ func (in *Inspector) SP() uint16 { return in.sys.Machine().SP() }
 // Current returns the task holding the CPU at the landed cycle, or nil.
 func (in *Inspector) Current() *kernel.Task { return in.sys.Kernel().Current() }
 
-// Mem reads n bytes of physical data memory starting at addr.
+// Mem reads n bytes of physical data memory starting at addr. A window that
+// runs past the end of the data space stops there: only the bytes inside it
+// are returned, never wrapped-around ones.
 func (in *Inspector) Mem(addr uint16, n int) []byte {
-	out := make([]byte, n)
+	out := make([]byte, max(min(n, mcu.DataSize-int(addr)), 0))
 	for i := range out {
 		out[i] = in.sys.Machine().Peek(addr + uint16(i))
 	}

@@ -68,6 +68,34 @@ func TestInspectorState(t *testing.T) {
 	}
 }
 
+// TestInspectorMemStopsAtDataEnd: a window crossing the end of the data
+// space returns only the bytes inside it, not the registers at address 0
+// that Peek wraps around to.
+func TestInspectorMemStopsAtDataEnd(t *testing.T) {
+	d := ttRecord(t, Config{Checkpoints: 6, Every: 32_768})
+	insp, err := d.Seek(100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := insp.System().Machine()
+	const addr = mcu.DataSize - 4
+	got := insp.Mem(addr, 36)
+	if len(got) != 4 {
+		t.Fatalf("Mem(%#x, 36) returned %d bytes, want the 4 inside the data space", addr, len(got))
+	}
+	for i, b := range got {
+		if want := m.Peek(addr + uint16(i)); b != want {
+			t.Errorf("Mem(%#x, 36)[%d] = %#02x, machine has %#02x", addr, i, b, want)
+		}
+	}
+	if n := len(insp.Mem(0, mcu.DataSize)); n != mcu.DataSize {
+		t.Errorf("Mem(0, DataSize) returned %d bytes, want %d", n, mcu.DataSize)
+	}
+	if n := len(insp.Mem(mcu.DataSize, 1)); n != 0 {
+		t.Errorf("Mem(DataSize, 1) returned %d bytes, want none", n)
+	}
+}
+
 func TestInspectorDecodeAddr(t *testing.T) {
 	d := ttRecord(t, Config{Checkpoints: 6, Every: 32_768})
 	insp, err := d.Seek(100_000)

@@ -1,17 +1,20 @@
 // Package timetravel is a deterministic time-travel debug layer over the
 // simulator: it records one run while arming a ring of periodic checkpoints
-// (riding the machine's outer-loop checkpoint hook and the snapshot v2 wire
-// format), then serves Seek(cycle) by restoring the nearest prior checkpoint
-// into a fresh system and re-executing in checked mode to the exact cycle.
-// The landed state is byte-identical to a straight checked run to that cycle
-// — machine, kernel, and every attached observer — so an Inspector over it
-// reads the truth, not an approximation. SeekFirst bisects the checkpoint
-// ring and replays to find the first cycle a monotone predicate becomes
-// true (watchpoint hit, sentinel tamper, invariant break).
+// (riding the machine's checkpoint hook and the snapshot v2 wire format),
+// then serves Seek(cycle) by restoring the nearest prior checkpoint into a
+// fork of the recorded system and re-executing on the default two-tier
+// interpreter to the exact cycle. The landed state is byte-identical to a
+// straight checked run to that cycle — machine, kernel, and every attached
+// observer — so an Inspector over it reads the truth, not an approximation.
+// SeekFirst bisects the checkpoint ring and replays to find the first cycle
+// a monotone predicate becomes true (watchpoint hit, sentinel tamper,
+// invariant break).
 //
 // Everything rides existing determinism guarantees: checkpoints fire only at
-// run-loop boundaries the run reaches anyway, so arming the ring never
-// perturbs the recorded trajectory.
+// instruction boundaries the run reaches anyway, so arming the ring never
+// perturbs the recorded trajectory, and the cycle bound stops the fused
+// tier at the boundary a checked run stops at, so a replay lands where a
+// stepwise one would.
 package timetravel
 
 import (
@@ -40,8 +43,8 @@ type Config struct {
 	// from boot). Default 8.
 	Checkpoints int
 	// Every is the nominal cycle spacing between checkpoints — the knob of
-	// the seek cost model: expected checked-replay distance is Every/2.
-	// Default 1<<20.
+	// the seek cost model: expected replay distance is Every/2, run on the
+	// fused tier. Default 1<<20.
 	Every uint64
 	// Rearm, when non-nil, runs right after Boot on the recorded run and on
 	// every boot-based replay. Use it to re-arm deterministic external
@@ -62,14 +65,13 @@ type ringEntry struct {
 }
 
 // Debugger records one run of a factory-built system and serves seeks into
-// it. The factory must build identically-shaped systems on every call — same
-// options, same observers, same programs in the same order — because seeks
-// restore recorded state into fresh factory builds.
+// it. The factory builds the system to record, unbooted; every replay runs
+// on a Fork of that system, so seeks never call the factory.
 type Debugger struct {
 	build func() (*core.System, error)
 	cfg   Config
 
-	sys      *core.System // the recorded primary (image parent for replays)
+	sys      *core.System // the recorded primary: every replay is a fork of it
 	ring     []ringEntry  // ascending capture cycles, len <= cfg.Checkpoints
 	evicted  int
 	skipped  int // captures refused (armed injector) and re-armed past
@@ -78,8 +80,8 @@ type Debugger struct {
 	fail     error // first checkpoint capture/encode failure
 }
 
-// New builds a Debugger over the factory. The factory is called once per
-// Record/Seek/SeekFirst probe; it must be deterministic.
+// New builds a Debugger over the factory. The factory is called once, by
+// Record.
 func New(build func() (*core.System, error), cfg Config) (*Debugger, error) {
 	if build == nil {
 		return nil, errors.New("timetravel: nil system factory")
@@ -165,8 +167,8 @@ func (d *Debugger) push(e ringEntry) {
 func (d *Debugger) End() uint64 { return d.end }
 
 // Recorded returns the recorded primary system (nil before Record). Treat it
-// as read-only: it is the image parent every replay adopts flash from, and
-// its artifact streams — trace, metrics, telemetry, energy — are the
+// as read-only: every replay is a fork of it, sharing its flash, and its
+// artifact streams — trace, metrics, telemetry, energy — are the
 // recording's ground truth.
 func (d *Debugger) Recorded() *core.System { return d.sys }
 
@@ -197,11 +199,13 @@ func (d *Debugger) nearest(cycle uint64) *ringEntry {
 	return nil
 }
 
-// Seek lands a fresh system on the first instruction boundary at or past
-// cycle and returns an Inspector over it. It restores the nearest prior ring
-// checkpoint (falling back to a replay from boot) and re-executes in checked
-// mode; the landed state — machine, kernel, and every observer stream — is
-// byte-identical to a straight checked run to the same cycle.
+// Seek lands a fork of the recorded system on the first instruction boundary
+// at or past cycle and returns an Inspector over it. It restores the nearest
+// prior ring checkpoint (falling back to a replay from boot) and
+// re-executes on the default two-tier interpreter; the landed state —
+// machine, kernel, and every observer stream — is byte-identical to a
+// straight checked run to the same cycle. The landed system is left in
+// stepwise mode, like that run.
 func (d *Debugger) Seek(cycle uint64) (*Inspector, error) { return d.seek(cycle, false) }
 
 // SeekBytes is Seek, but restores from the checkpoint's snapshot v2 wire
@@ -231,18 +235,23 @@ func (d *Debugger) seek(cycle uint64, fromBytes bool) (*Inspector, error) {
 			return nil, err
 		}
 	}
+	// The stepwise flag is machine state a snapshot carries; set it as the
+	// stepwise reference run has it, so a save of the landed system encodes
+	// the same bytes.
+	sys.Machine().SetStepwise(true)
 	return &Inspector{sys: sys, seekTo: cycle, base: base, fromRing: fromRing}, nil
 }
 
-// seekBase builds a fresh system positioned at the best starting point for a
-// replay to cycle: restored from the nearest prior checkpoint, or booted
-// (with Rearm) when none is retained. The system is left in checked mode.
+// seekBase forks the recorded system and positions the fork at the best
+// starting point for a replay to cycle: restored from the nearest prior
+// checkpoint, or booted (with Rearm) when none is retained. A fork starts
+// on the default two-tier interpreter; a restored checkpoint carries the
+// recording's mode.
 func (d *Debugger) seekBase(cycle uint64, fromBytes bool) (sys *core.System, base uint64, fromRing bool, err error) {
-	sys, err = d.build()
+	sys, err = d.sys.Fork()
 	if err != nil {
 		return nil, 0, false, err
 	}
-	sys.AdoptImage(d.sys)
 	if e := d.nearest(cycle); e != nil {
 		st := e.st
 		if fromBytes {
@@ -263,6 +272,5 @@ func (d *Debugger) seekBase(cycle uint64, fromBytes bool) (sys *core.System, bas
 		}
 		base = sys.Machine().Cycles()
 	}
-	sys.Machine().SetStepwise(true)
 	return sys, base, fromRing, nil
 }
