@@ -133,7 +133,7 @@ func NewRuntime(m *mcu.Machine, img *Image) (*Runtime, error) {
 	for i, b := range img.Nat.Program.DataInit {
 		m.Poke(img.Nat.Program.HeapBase+uint16(i), b)
 	}
-	m.SetTrapHandler(r.handleTrap)
+	m.SetTrapHandler(r.handleTrap, r.repeatTrap)
 	m.SetPC(img.Nat.Program.Entry)
 	return r, nil
 }
@@ -251,6 +251,17 @@ func (r *Runtime) handleTrap(m *mcu.Machine, id uint16) error {
 		return fmt.Errorf("tkernel: unhandled class %v", p.Class)
 	}
 	return nil
+}
+
+// repeatTrap is the runtime's mcu.TrapRepeater: a branch service books
+// nothing but its call count (the machine charges its cycles), so it
+// accepts every repeat of a branch trap and none of any other class.
+func (r *Runtime) repeatTrap(m *mcu.Machine, id uint16, n uint64) uint64 {
+	if int(id) >= len(r.img.Nat.Patches) || r.img.Nat.Patches[id].Class != rewriter.ClassBranch {
+		return 0
+	}
+	r.ServiceCalls[rewriter.ClassBranch] += n
+	return n
 }
 
 // execDirect runs an LDS/STS at its untranslated address (t-kernel keeps

@@ -1,6 +1,7 @@
 package tkernel
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/mcu"
@@ -109,7 +110,10 @@ func TestTKernelPeriodicWithSleep(t *testing.T) {
 func TestTKernelAllBenchmarksRun(t *testing.T) {
 	// Exercise every service class of the t-kernel trap handler: the seven
 	// kernel benchmarks cover icall/ijmp (eventchain), lpm, SP access,
-	// direct and indirect memory, branches, calls and sleep.
+	// direct and indirect memory, branches, calls and sleep. Each runs on
+	// the default tiers and stepwise, which must agree on every count the
+	// runtime keeps: the default run fast-forwards the benchmarks' poll
+	// loops, booking their branch services through the repeater.
 	for _, kb := range progs.KernelBenchmarks() {
 		kb := kb
 		t.Run(kb.Name, func(t *testing.T) {
@@ -117,23 +121,48 @@ func TestTKernelAllBenchmarksRun(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			m := mcu.New()
-			rt, err := NewRuntime(m, img)
-			if err != nil {
-				t.Fatal(err)
+			run := func(stepwise bool) (*mcu.Machine, *Runtime) {
+				m := mcu.New()
+				m.SetStepwise(stepwise)
+				rt, err := NewRuntime(m, img)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := rt.Run(10_000_000_000); err != nil {
+					t.Fatal(err)
+				}
+				if !rt.Exited() {
+					t.Fatal("benchmark did not exit")
+				}
+				return m, rt
 			}
-			if err := rt.Run(10_000_000_000); err != nil {
-				t.Fatal(err)
-			}
-			if !rt.Exited() {
-				t.Fatal("benchmark did not exit")
-			}
+			m, rt := run(false)
 			var calls uint64
 			for _, n := range rt.ServiceCalls {
 				calls += n
 			}
 			if calls == 0 {
 				t.Error("no service calls recorded")
+			}
+			// Every benchmark ends by polling UART UDRE in putc.
+			if st := m.TranslationStats(); st.SpinInsts == 0 {
+				t.Errorf("no poll iteration fast-forwarded: %+v", st)
+			}
+			sm, srt := run(true)
+			if m.Cycles() != sm.Cycles() || m.Instructions() != sm.Instructions() ||
+				m.IdleCycles() != sm.IdleCycles() {
+				t.Errorf("cycles/instructions/idle %d/%d/%d, stepwise %d/%d/%d",
+					m.Cycles(), m.Instructions(), m.IdleCycles(),
+					sm.Cycles(), sm.Instructions(), sm.IdleCycles())
+			}
+			if rt.ServiceCalls != srt.ServiceCalls {
+				t.Errorf("service calls %v, stepwise %v", rt.ServiceCalls, srt.ServiceCalls)
+			}
+			if !bytes.Equal(m.UARTOutput(), sm.UARTOutput()) {
+				t.Errorf("UART %q, stepwise %q", m.UARTOutput(), sm.UARTOutput())
+			}
+			if rt.Exited() != srt.Exited() {
+				t.Errorf("exited %v, stepwise %v", rt.Exited(), srt.Exited())
 			}
 		})
 	}

@@ -41,6 +41,10 @@ type InterpBenchPoint struct {
 	BlocksBuilt        uint64  `json:"blocks_built"`
 	BlockInvalidations uint64  `json:"block_invalidations"`
 	FusedFrac          float64 `json:"fused_frac"`
+	// SpinFrac is the fraction of retired instructions the fused run
+	// fast-forwarded through device-poll loops instead of dispatching them.
+	// FusedFrac and FusedMIPS count them too.
+	SpinFrac float64 `json:"spin_frac"`
 	// TelemetryArmedMs times the default (translated) loop with a telemetry
 	// sampler attached whose interval exceeds the run length, so it never
 	// fires: the delta against FusedMs isolates what an armed hook that
@@ -250,6 +254,7 @@ func BenchInterp(reps, workers int) (*InterpBench, error) {
 		p.BlockInvalidations = st.Invalidations
 		if n := fusedM.Instructions(); n > 0 {
 			p.FusedFrac = float64(st.FusedInsts) / float64(n)
+			p.SpinFrac = float64(st.SpinInsts) / float64(n)
 		}
 		p.CyclesIdentical = p.Cycles == fusedCycles &&
 			p.Cycles == armedCycles && p.Cycles == energyCycles &&

@@ -226,7 +226,7 @@ func New(m *mcu.Machine, cfg Config) *Kernel {
 		sym:      profile.NewSymbolizer(),
 		prof:     cfg.Profile,
 	}
-	m.SetTrapHandler(k.handleTrap)
+	m.SetTrapHandler(k.handleTrap, k.repeatTrap)
 	if cfg.Trace != nil {
 		// Share the recorder with the machine so interrupt/idle/halt stamps
 		// interleave with kernel events in global cycle order.

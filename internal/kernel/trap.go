@@ -203,15 +203,8 @@ func (k *Kernel) chargeExtra(class rewriter.Class, n uint64) {
 func (k *Kernel) serviceBranch(t *Task, ref *trapRef) {
 	m := k.M
 	k.charge(t, rewriter.ClassBranch, CostBranchTrap, int(ref.baseCyc))
-	taken := true
-	switch ref.brKind {
-	case brSet:
-		taken = m.SREG()&ref.brMask != 0
-	case brClr:
-		taken = m.SREG()&ref.brMask == 0
-	}
 	next := ref.absNext
-	if taken {
+	if ref.taken(m.SREG()) {
 		next = ref.absTarget
 		k.chargeExtra(rewriter.ClassBranch, 1) // branch-taken penalty, as on hardware
 		if k.prof != nil {
@@ -239,6 +232,58 @@ func (k *Kernel) serviceBranch(t *Task, ref *trapRef) {
 		}
 	}
 	m.SetPC(next)
+}
+
+// repeatTrap is the kernel's mcu.TrapRepeater. The fused tier calls it when
+// a device-poll loop closed by branch trap id has just been serviced and has
+// landed back on the loop's leader; it books up to n further services of
+// that branch exactly as serviceBranch books each one — ServiceCalls (kernel
+// and task), ServiceCycles, ServiceOverhead, the task's KernelCycles,
+// BranchTraps and the slice countdown — and returns how many it booked. A
+// backward branch repeats at most branchLeft-1 times, so the service that
+// runs the slice check still goes through handleTrap. It declines every
+// other class, a trap outside the current task's program, the service
+// right after a switch to the current task (the measured iteration carries
+// the switch's cycles), and any run with a recorder (trap enter/exit events
+// are per trap) or a profiler attached.
+func (k *Kernel) repeatTrap(m *mcu.Machine, id uint16, n uint64) uint64 {
+	t := k.Current()
+	if t == nil || k.Cfg.Trace != nil || k.prof != nil || int(id) >= len(k.traps) {
+		return 0
+	}
+	ref := &k.traps[id]
+	if ref.class != rewriter.ClassBranch || ref.base != t.Base || t.sliceStart == m.Cycles() {
+		return 0
+	}
+	if ref.backward {
+		n = min(n, uint64(t.branchLeft-1))
+		k.Stats.BranchTraps += n
+		t.branchLeft -= uint32(n)
+	}
+	charged := uint64(0)
+	if total := int(ref.baseCyc) + CostBranchTrap - 1; total > 0 {
+		charged = uint64(total)
+	}
+	if ref.taken(m.SREG()) {
+		charged++
+	}
+	k.Stats.ServiceCalls[ref.class] += n
+	t.ServiceCalls[ref.class] += n
+	k.Stats.ServiceCycles[ref.class] += n * charged
+	k.Stats.ServiceOverhead[ref.class] += n * CostBranchTrap
+	t.KernelCycles += n * CostBranchTrap
+	return n
+}
+
+// taken evaluates a branch trap against the flags in sreg.
+func (r *trapRef) taken(sreg byte) bool {
+	switch r.brKind {
+	case brSet:
+		return sreg&r.brMask != 0
+	case brClr:
+		return sreg&r.brMask == 0
+	}
+	return true
 }
 
 // ensureStack guarantees need bytes of stack headroom, relocating regions or

@@ -249,11 +249,14 @@ sub:
 // injectLoopSrc is kernel-shaped code for the injector identity test: a hot
 // ALU loop that fuses into translated blocks, a KTRAP after every inner loop
 // (a fused trap terminator), and Timer0 overflow interrupts every 2048
-// cycles (device events and interrupt delivery through Step). BREAK would
-// decode as a KTRAP once a trap handler is installed, so the program ends
-// with KTRAP 9, on which injectTrap halts. An injection that flips the inner
-// counter r22 changes how long the run lasts, so a fire point that moved
-// shows up in the final state.
+// cycles (device events and interrupt delivery through Step). A poll phase
+// follows, after the KTRAP 10 marker: four UART bytes each waited out by a
+// fused skip-jump spin, then four by a trap-closed spin whose KTRAP 8 is
+// the virtualized backward jump, both fast-forwarded by the fused tier.
+// BREAK would decode as a KTRAP once a trap handler is installed, so the
+// program ends with KTRAP 9, on which injectTrap halts. An injection that
+// flips the inner counter r22 changes how long the run lasts, so a fire
+// point that moved shows up in the final state.
 const injectLoopSrc = `
     jmp main
 .org 2
@@ -280,6 +283,25 @@ inner:
     ktrap 7
     dec r25
     brne outer
+    ktrap 10          ; the poll phase begins
+    ldi r24, 4
+tx:
+    out UDR0, r24
+txwait:
+    in r17, UCSR0A
+    sbrs r17, 5
+    rjmp txwait
+    dec r24
+    brne tx
+    ldi r24, 4
+tx2:
+    out UDR0, r24
+txwait2:
+    in r17, UCSR0A
+    sbrs r17, 5
+    ktrap 8           ; back to txwait2
+    dec r24
+    brne tx2
     ktrap 9           ; done: the trap handler halts
 t0_isr:
     push r16
@@ -290,16 +312,30 @@ t0_isr:
     reti
 `
 
-// injectTrap is injectLoopSrc's trap service: KTRAP 9 halts, any other
-// returns past the two-word trap after charging 3 cycles.
+// injectTrap is injectLoopSrc's trap service: KTRAP 9 halts, KTRAP 8 jumps
+// back over the two words before it, any other returns past the two-word
+// trap. Both charge 3 cycles.
 func injectTrap(m *Machine, id uint16) error {
-	if id == 9 {
+	switch id {
+	case 9:
 		m.Halt("done")
 		return nil
+	case 8:
+		m.SetPC(m.PC() - 2)
+	default:
+		m.SetPC(m.PC() + 2)
 	}
-	m.SetPC(m.PC() + 2)
 	m.AddCycles(3)
 	return nil
+}
+
+// injectRepeat is injectTrap's repeater: a KTRAP 8 service books nothing,
+// so it accepts every repeat of it.
+func injectRepeat(_ *Machine, id uint16, n uint64) uint64 {
+	if id != 8 {
+		return 0
+	}
+	return n
 }
 
 // injectFire is what one hook firing observed.
@@ -314,6 +350,8 @@ type injectRun struct {
 	fires []injectFire
 	// fusedBeforeFire is the fused-dispatch count when the first hook fired.
 	fusedBeforeFire uint64
+	// repeats counts the KTRAP 8 services the repeater accepted.
+	repeats uint64
 }
 
 // oneShot arms a boundary hook to call fire once, at the first instruction
@@ -343,9 +381,10 @@ var boundaryHooks = []struct {
 // translation threshold: 1 every landing, 0 the default) with the plan
 // place installs through hook. place receives the machine, the hook and the
 // firing body, which records the firing and flips r22; it returns the trap
-// handler hook, called on every KTRAP service (nil for none).
+// handler hook, called with the trap id on every KTRAP service the handler
+// runs (nil for none).
 func runInjectMode(t *testing.T, stepwise bool, threshold int, hook oneShot,
-	place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine)) injectRun {
+	place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16)) injectRun {
 	t.Helper()
 	m := load(t, injectLoopSrc)
 	m.SetStepwise(stepwise)
@@ -361,9 +400,13 @@ func runInjectMode(t *testing.T, stepwise bool, threshold int, hook oneShot,
 	onTrap := place(m, hook, fire)
 	m.SetTrapHandler(func(mm *Machine, id uint16) error {
 		if onTrap != nil {
-			onTrap(mm)
+			onTrap(mm, id)
 		}
 		return injectTrap(mm, id)
+	}, func(mm *Machine, id uint16, n uint64) uint64 {
+		n = injectRepeat(mm, id, n)
+		r.repeats += n
+		return n
 	})
 	err := m.Run(1_000_000)
 	var f *Fault
@@ -380,12 +423,13 @@ func runInjectMode(t *testing.T, stepwise bool, threshold int, hook oneShot,
 // machine state whether the run steps every instruction, fuses every block
 // on its first landing, or runs at the default threshold. It also pins why
 // that matters for cost: with the default threshold the run dispatches
-// fused blocks while a hook waits, instead of stepping until it fires.
+// fused blocks while a hook waits, instead of stepping until it fires, and
+// both fused modes fast-forward the poll spins, trap-closed ones included.
 func TestInjectorIdentityAcrossTiers(t *testing.T) {
 	// The first Timer0 overflow at or after cycle 30000, read off an
 	// uninjected probe: a hook due exactly where a device event is.
 	probe := load(t, injectLoopSrc)
-	probe.SetTrapHandler(injectTrap)
+	probe.SetTrapHandler(injectTrap, injectRepeat)
 	if err := probe.Run(30_000); err != nil {
 		t.Fatal(err)
 	}
@@ -394,17 +438,17 @@ func TestInjectorIdentityAcrossTiers(t *testing.T) {
 	cases := []struct {
 		name  string
 		fires int
-		place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine)
+		place func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16)
 	}{
-		{"hot loop", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+		{"hot loop", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16) {
 			arm(m, 20_011, fire)
 			return nil
 		}},
-		{"device event", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+		{"device event", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16) {
 			arm(m, deviceEvent, fire)
 			return nil
 		}},
-		{"re-arm chain", 3, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+		{"re-arm chain", 3, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16) {
 			links := 0
 			var link func(*Machine)
 			link = func(mm *Machine) {
@@ -416,11 +460,23 @@ func TestInjectorIdentityAcrossTiers(t *testing.T) {
 			arm(m, 15_000, link)
 			return nil
 		}},
-		{"armed by a trap service", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine) {
+		{"armed by a trap service", 1, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16) {
 			traps := 0
-			return func(mm *Machine) {
+			return func(mm *Machine, _ uint16) {
 				if traps++; traps == 20 {
 					arm(mm, mm.Cycles()+41, fire)
+				}
+			}
+		}},
+		// Due 700 cycles into the first byte of each spin (a UART byte
+		// takes 1280): armed by the KTRAP 10 marker for the skip-jump
+		// spin, by the first KTRAP 8 service for the trap-closed one.
+		{"poll spin", 2, func(m *Machine, arm oneShot, fire func(*Machine)) func(*Machine, uint16) {
+			armed := map[uint16]bool{}
+			return func(mm *Machine, id uint16) {
+				if (id == 10 || id == 8) && !armed[id] {
+					armed[id] = true
+					arm(mm, mm.Cycles()+700, fire)
 				}
 			}
 		}},
@@ -432,6 +488,9 @@ func TestInjectorIdentityAcrossTiers(t *testing.T) {
 					slow := runInjectMode(t, true, 0, hook.arm, tc.place)
 					if len(slow.fires) != tc.fires {
 						t.Fatalf("stepwise run fired %d times, want %d", len(slow.fires), tc.fires)
+					}
+					if st := slow.m.TranslationStats(); st.SpinInsts != 0 || slow.repeats != 0 {
+						t.Fatalf("stepwise run fast-forwarded (%d trap repeats): %+v", slow.repeats, st)
 					}
 					for _, mode := range []struct {
 						name      string
@@ -447,6 +506,10 @@ func TestInjectorIdentityAcrossTiers(t *testing.T) {
 						if mode.threshold == 0 && got.fusedBeforeFire == 0 {
 							t.Errorf("default mode dispatched no fused block before the first firing: %+v",
 								got.m.TranslationStats())
+						}
+						if st := got.m.TranslationStats(); st.SpinInsts == 0 || got.repeats == 0 {
+							t.Errorf("%s: fast-forwarded no poll spin (%d trap repeats): %+v",
+								mode.name, got.repeats, st)
 						}
 					}
 				})

@@ -130,6 +130,17 @@ const (
 // charge any kernel cycles. Returning an error halts the machine.
 type TrapHandler func(m *Machine, id uint16) error
 
+// TrapRepeater books repeats of a trap the handler has just serviced. The
+// fused tier calls it when a device-poll loop (see translate.go) closed by
+// trap id has looped back to its leader: it asks for up to n further
+// services, each identical to the one just run, and the repeater returns
+// how many it accepts (at most n), having booked their effect on its own
+// ledgers. The machine charges the clock and the instruction count for the
+// accepted repeats; the services themselves never run. A repeater must
+// decline (return 0) whatever it cannot repeat exactly — a service with
+// side effects beyond its ledgers, or one that emits per-trap events.
+type TrapRepeater func(m *Machine, id uint16, n uint64) uint64
+
 // Machine is one simulated node. The zero value is not usable; call New.
 type Machine struct {
 	data  [DataSize]byte
@@ -146,7 +157,8 @@ type Machine struct {
 	// Step path, disabling the fused tier (bench comparator).
 	stepwise bool
 
-	trap TrapHandler
+	trap   TrapHandler
+	repeat TrapRepeater
 
 	// rec, when non-nil, receives cycle-stamped machine events (interrupt
 	// delivery, idle advances, halts, budget expiry). The nil state is the
@@ -374,11 +386,14 @@ func (m *Machine) FlashWord(addr uint32) uint16 {
 	return m.flash[pageOf(addr)].v[addr%pageWords]
 }
 
-// SetTrapHandler installs the kernel's KTRAP entry point. Without a handler
-// BREAK decodes as plain BREAK; with one, BREAK plus its following id word
-// decodes as KTRAP (the micro-op cache is dropped to apply the change).
-func (m *Machine) SetTrapHandler(h TrapHandler) {
-	m.trap = h
+// SetTrapHandler installs the kernel's KTRAP entry point and the repeater
+// that books the poll-loop repeats of its services (nil repeats nothing).
+// Both are set in one call, so a handler swap cannot leave a stale
+// repeater behind. Without a handler BREAK decodes as plain BREAK; with
+// one, BREAK plus its following id word decodes as KTRAP (the micro-op
+// cache is dropped to apply the change).
+func (m *Machine) SetTrapHandler(h TrapHandler, r TrapRepeater) {
+	m.trap, m.repeat = h, r
 	// Blocks fused under the old KTRAP decode rule are stale.
 	m.xl.reset()
 	// Dropping every page leaves one shared with another machine intact
@@ -640,11 +655,12 @@ func (m *Machine) Run(limit uint64) error {
 // interrupt to examine, stepwise mode, or an attached profiler — and for
 // one instruction after due hooks fire. Otherwise, up to the next device
 // event, the cycle limit and the hook schedule's due cycle, the fused tier
-// (runTranslated) dispatches translated blocks. Whatever it declines (a
-// cold leader, a SLEEP/BREAK/undecodable one, or a block whose worst case
-// does not fit before that stop) runs on Step until the next control
-// transfer lands on another leader. Both tiers stop at the instruction
-// boundary where a stepwise run fires each hook.
+// (runTranslated) dispatches translated blocks, and skips a device-poll
+// loop's further iterations in one step once the loop has reached its fixed
+// point. Whatever it declines (a cold leader, a SLEEP/BREAK/undecodable one,
+// or a block whose worst case does not fit before that stop) runs on Step
+// until the next control transfer lands on another leader. Both tiers stop
+// at the instruction boundary where a stepwise run fires each hook.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
 		switch {

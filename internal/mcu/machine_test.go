@@ -517,7 +517,7 @@ main:
 		got = id
 		mm.SetPC(mm.PC() + 2) // skip the 2-word KTRAP
 		return nil
-	})
+	}, nil)
 	err := m.Run(100)
 	var f *Fault
 	if !errors.As(err, &f) || f.Kind != FaultHalt {

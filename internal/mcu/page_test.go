@@ -28,7 +28,7 @@ func TestSetupAllocatesPagesOnly(t *testing.T) {
 		if err := m.LoadFlash(0, img); err != nil {
 			t.Fatal(err)
 		}
-		m.SetTrapHandler(trap)
+		m.SetTrapHandler(trap, nil)
 		setupSink = m
 	}
 	runtime.ReadMemStats(&after)

@@ -47,7 +47,7 @@ func TestSamplerCadence(t *testing.T) {
 			mm.SetPC(mm.PC() + 2)
 			mm.AddCycles(3)
 			return nil
-		})
+		}, nil)
 		m.SetStepwise(stepwise)
 		var got []fire
 		m.SetSampler(1000, func(at uint64) { got = append(got, fire{at, m.Cycles()}) })

@@ -43,6 +43,14 @@ import (
 //   - Faultable ops (SRAM loads/stores, push/pop) flush cycle, PC, and SREG
 //     before calling the shared guarded helpers, so a mid-block fault leaves
 //     precisely the architectural state Step would have left.
+//   - A device-poll loop (pollLoop) is fast-forwarded, not iterated: once
+//     one iteration has looped back to its own leader the machine is at a
+//     fixed point, because below the stop cycle no device event fires and
+//     the bytes it loads hold still. Every further iteration whose
+//     precheck would pass is charged in one step (spin), with the measured
+//     cost of the iteration just run; a trap-closed loop repeats only as
+//     many services as the trap's repeater books. The iteration the
+//     precheck refuses runs on Step as before.
 //   - The block cache is derived state, like the micro-op cache: flash writes
 //     kill every overlapping block (LoadFlash), SetTrapHandler and
 //     AdoptImage/RestoreState flush it, and snapshots never carry it.
@@ -184,6 +192,7 @@ type block struct {
 	termCyc  uint8  // fused terminator base cycle cost
 	termSkpW uint8  // tkSkip*: words skipped (cycle surcharge)
 	termJCyc uint8  // tkSkipJmp: the fused jump's cycle cost; tkSkipTrap: the trap's
+	poll     bool   // a device-poll loop, fast-forwarded by spin (see pollLoop)
 	// bodyCycles is the cycle cost of the fused body; wcet adds the
 	// terminator's worst case (branch taken, longest skip), bounding how
 	// far a whole-block dispatch can advance the clock.
@@ -206,6 +215,7 @@ type translator struct {
 	invalidated uint64
 	dispatches  uint64
 	fusedInsts  uint64
+	spinInsts   uint64
 
 	idx [numPages]*page[int32]
 }
@@ -282,9 +292,12 @@ type TranslationStats struct {
 	Invalidations uint64
 	// FusedDispatches counts whole-block executions; FusedInsts counts the
 	// instructions retired inside them (the numerator of the fused-dispatch
-	// fraction against Instructions()).
+	// fraction against Instructions()), fast-forwarded poll iterations
+	// included. SpinInsts counts those fast-forwarded instructions alone:
+	// they retire without a dispatch.
 	FusedDispatches uint64
 	FusedInsts      uint64
+	SpinInsts       uint64
 }
 
 // TranslationStats returns the block-cache counters.
@@ -301,6 +314,7 @@ func (m *Machine) TranslationStats() TranslationStats {
 		Invalidations:   m.xl.invalidated,
 		FusedDispatches: m.xl.dispatches,
 		FusedInsts:      m.xl.fusedInsts,
+		SpinInsts:       m.xl.spinInsts,
 	}
 }
 
@@ -326,6 +340,53 @@ func devWriteReg(a uint16) bool {
 		return true
 	}
 	return false
+}
+
+// stableReadReg reports whether a device-poll loop may read data-space
+// address a (an I/O byte) and still reach a fixed point. TCNT0 and the
+// kernel clock's TCNT3L/TCNT3H pair move with the clock, and reading RDR
+// pops the radio's receive queue. Every other I/O byte is plain data or
+// changes only at a device event (ADCSRA, UCSR0A, RSR), which lies at or
+// past the stop cycle.
+func stableReadReg(a uint16) bool {
+	switch a {
+	case IOBase + ioregs.TCNT0, IOBase + ioregs.RDR, ioregs.TCNT3L, ioregs.TCNT3H:
+		return false
+	}
+	return a >= IOBase && a < SRAMBase
+}
+
+// pollLoop reports whether b is a device-poll loop: a fused skip whose
+// not-skipped path returns to the block's own leader (a tkSkipTrap's target
+// shows only once its trap is serviced, so runTranslated checks it), over a
+// body of IN/LDS loads of stable I/O bytes into registers, the skip testing
+// a register or a stable I/O byte. After one iteration every register the
+// body writes holds a stable byte, so each further iteration retires the
+// same instructions in the same cycles and changes nothing else. A load
+// from the register file, SRAM or SREG disqualifies the block: `lds r16,17;
+// lds r17,18` shifts bytes on every iteration.
+func pollLoop(b *block) bool {
+	switch b.termKind {
+	case tkSkipTrap: // its skips test registers only
+	case tkSkipJmp:
+		if b.termTo != b.leader ||
+			(b.termCond == scIO || b.termCond == scIODev) && !stableReadReg(b.termA) {
+			return false
+		}
+	default:
+		return false
+	}
+	for i := range b.ops {
+		switch f := &b.ops[i]; f.code {
+		case fInData, fInDev, fLdsData, fLdsDev:
+			if !stableReadReg(f.a) {
+				return false
+			}
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // isHazardTerm reports whether u must end its block as the terminator: its
@@ -723,6 +784,7 @@ func (m *Machine) translateBlock(leader uint32) *block {
 		b.wcet = cum
 	}
 	foldFlags(b)
+	b.poll = pollLoop(b)
 	return b
 }
 
@@ -1232,6 +1294,9 @@ loop:
 				done++
 				m.cycle = c + uint64(b.termJCyc)
 				m.pc = b.termTo
+				if b.poll {
+					done += m.spin(b, start, stop)
+				}
 			case b.termKind == tkSkipTrap: // not taken: the fused trap executes
 				done++
 				m.cycle = c + uint64(b.termJCyc)
@@ -1257,6 +1322,9 @@ loop:
 				}
 				sreg = m.data[addrSREG]
 				stop = m.stop(limit)
+				if b.poll && m.pc == b.leader {
+					done += m.spin(b, start, stop)
+				}
 			default:
 				m.cycle = c
 				m.pc = b.fallPC
@@ -1316,4 +1384,32 @@ loop:
 	x.dispatches += iters
 	x.fusedInsts += fused + done
 	return halt, err
+}
+
+// spin fast-forwards the poll loop b (pollLoop), whose iteration started at
+// cycle start has just looped back to its leader: it charges every further
+// iteration whose precheck `cycle + wcet < stop` would pass, at the measured
+// cost of the one just run, and returns the instructions they retire. They
+// are not dispatched. For a trap-closed loop the trap's repeater books the
+// services and may accept fewer repeats (a nil repeater accepts none). The
+// first iteration the precheck refuses is left to the caller's loop, so
+// Step finishes where it always did. With no stop at all (no horizon,
+// limit or due hook) the loop hangs either way and is left to iterate.
+func (m *Machine) spin(b *block, start, stop uint64) uint64 {
+	wcet := uint64(b.wcet)
+	if stop == noEvent || m.cycle+wcet >= stop {
+		return 0
+	}
+	cost := m.cycle - start
+	n := (stop-m.cycle-wcet-1)/cost + 1
+	if b.termKind == tkSkipTrap {
+		if m.repeat == nil {
+			return 0
+		}
+		n = m.repeat(m, b.termA, n)
+	}
+	m.cycle += n * cost
+	insts := n * uint64(len(b.ops)+2)
+	m.xl.spinInsts += insts
+	return insts
 }
