@@ -8,13 +8,8 @@
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
 #   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
-#   make bench          regenerate BENCH_energy.json and BENCH_interp.json
-#   make bench-interp   regenerate BENCH_interp.json (checked vs default
-#                       two-tier interpreter throughput) and gate it against
-#                       the committed BENCH_interp.baseline.json
-#   make bench-diff     diff BENCH_interp.json against the committed
-#                       baseline with the schema-aware comparator; fails on
-#                       out-of-band regressions
+#   make bench          regenerate BENCH_energy.json (host time is measured
+#                       by bench/run.sh, see bench/README.md)
 #   make faultcampaign  short race-enabled fault-injection campaign smoke:
 #                       runs the seeded campaign over the full benchmark
 #                       suite and writes a report to a scratch path
@@ -61,9 +56,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
+.PHONY: ci build vet test cover fmt-check fuzz bench faultcampaign checkpoint energy debug bench-smoke bench-golden
 
-ci: fmt-check vet build test cover fuzz bench-interp bench-diff faultcampaign checkpoint energy debug bench-smoke bench-golden
+ci: fmt-check vet build test cover fuzz faultcampaign checkpoint energy debug bench-smoke bench-golden
 
 build:
 	$(GO) build ./...
@@ -110,24 +105,6 @@ fuzz:
 
 bench:
 	$(GO) run ./cmd/sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
-	$(MAKE) bench-interp
-
-# The interp gate is host-relative where it can be: the suite-aggregate
-# checked/fused speedup of the default two-tier run over the stepwise Step
-# path must stay >= 1.5x (the floor raised when translation landed). Every
-# mode must simulate identical cycles, the armed telemetry/energy passes
-# must stay under 1% overhead, and a wide tolerance band on the absolute
-# MIPS floor keeps a slower CI host from flaking the build.
-bench-interp:
-	$(GO) run ./cmd/sensmart-bench -exp interp -reps 5 -out BENCH_interp.json -baseline BENCH_interp.baseline.json -min-total 1.5
-
-# Schema-aware cross-run diff of the freshly generated interp numbers
-# against the committed baseline. The 60% band is deliberately wide for the
-# same reason bench-interp's MIPS tolerance is: absolute wall-clock depends
-# on the host, and the hard invariants (cycle identity, checked/fused
-# speedup, armed-telemetry overhead) are gated by bench-interp itself.
-bench-diff:
-	$(GO) run ./cmd/sensmart-bench -exp compare -old BENCH_interp.baseline.json -new BENCH_interp.json -tolerance 60
 
 # Race-enabled campaign smoke: 3 trials per benchmark keeps it a few seconds
 # while still exercising every injection kind and the full verdict pipeline.

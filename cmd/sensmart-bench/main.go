@@ -14,9 +14,7 @@
 //	sensmart-bench -exp faultcampaign -seed 1 -trials 20 -out BENCH_faultcampaign.json
 //	sensmart-bench -exp warmstart -prefix 2000000 -points 6 -out BENCH_warmstart.json
 //	sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
-//	sensmart-bench -exp interp -out BENCH_interp.json
-//	sensmart-bench -exp interp -baseline BENCH_interp.baseline.json
-//	sensmart-bench -exp compare -old BENCH_interp.baseline.json -new BENCH_interp.json
+//	sensmart-bench -exp compare -old BENCH_energy.json -new BENCH_energy.new.json
 //	sensmart-bench -exp fig6 -serve :8080
 //
 // Sweeps fan out to -parallel workers (default GOMAXPROCS); each sweep
@@ -30,7 +28,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -57,20 +54,17 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sensmart-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|interp|faultcampaign|warmstart|energy|compare|all")
+	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|faultcampaign|warmstart|energy|compare|all")
 	activations := fs.Int("activations", 300, "PeriodicTask activations (fig6; the paper uses 300)")
 	budget := fs.Uint64("budget", 40_000_000, "simulated cycle budget for fig7/fig8 workloads")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count; 1 = serial")
-	out := fs.String("out", "", "output path for -exp interp, faultcampaign, warmstart and energy (default BENCH_<exp>.json)")
+	out := fs.String("out", "", "output path for -exp faultcampaign, warmstart and energy (default BENCH_<exp>.json)")
 	topK := fs.Int("top", 5, "with -exp hotspots: frames to report per benchmark")
 	profileOut := fs.String("profile", "", "with -exp hotspots: run the seven benchmarks as one profiled multitask workload and write a gzipped pprof profile.proto here")
 	foldedOut := fs.String("folded", "", "with -exp hotspots: like -profile, but folded stacks for speedscope / flamegraph.pl")
-	reps := fs.Int("reps", 3, "with -exp interp: timing repetitions (best-of)")
 	traceOut := fs.String("trace", "", "with -exp overhead: run all seven kernel benchmarks as one traced multitask workload and write Chrome trace_event JSON here (load in ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "with -exp overhead: print the traced multitask workload's kernel metrics snapshot")
-	baseline := fs.String("baseline", "", "with -exp interp: gate the fresh results against this committed BENCH_interp baseline")
-	minTotal := fs.Float64("min-total", 1.5, "with -exp interp -baseline: required suite-aggregate checked/fused speedup, the end-to-end figure the translation layer is accountable for")
-	tolerance := fs.Float64("tolerance", 50, "with -exp interp -baseline: allowed %% drop of serial default-mode MIPS below the baseline; with -exp compare: %% band inside which a metric counts as unchanged (wide band: absolute wall-clock is host-dependent)")
+	tolerance := fs.Float64("tolerance", 50, "with -exp compare: % band inside which a metric counts as unchanged (wide band: absolute wall-clock is host-dependent)")
 	seed := fs.Uint64("seed", 1, "with -exp faultcampaign: campaign seed (every trial site derives from it)")
 	trials := fs.Int("trials", 20, "with -exp faultcampaign: injected trials per benchmark")
 	prefix := fs.Uint64("prefix", 2_000_000, "with -exp warmstart: shared warm-up cycles skipped by restoring the checkpoint")
@@ -234,50 +228,6 @@ func run(args []string) error {
 				return err
 			}
 			return write(*foldedOut, "folded stacks", prof.WriteFolded)
-		},
-		"interp": func() error {
-			b, err := experiment.BenchInterp(*reps, *parallel)
-			if err != nil {
-				return err
-			}
-			path := *out
-			if path == "" {
-				path = "BENCH_interp.json"
-			}
-			data, err := experiment.WriteBenchFile(path, b)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("wrote %s\n%s", path, data)
-			var blocks, invals uint64
-			var fusedFrac float64
-			for _, p := range b.Benchmarks {
-				blocks += p.BlocksBuilt
-				invals += p.BlockInvalidations
-				fusedFrac += p.FusedFrac
-			}
-			if n := len(b.Benchmarks); n > 0 {
-				fusedFrac /= float64(n)
-			}
-			fmt.Printf("block translation: threshold %d, %d blocks built, %d invalidated, mean fused-instruction fraction %.3f\n",
-				b.FusedThreshold, blocks, invals, fusedFrac)
-			if *baseline == "" {
-				return nil
-			}
-			raw, err := os.ReadFile(*baseline)
-			if err != nil {
-				return err
-			}
-			var base experiment.InterpBench
-			if err := json.Unmarshal(raw, &base); err != nil {
-				return fmt.Errorf("baseline %s: %w", *baseline, err)
-			}
-			if err := experiment.CheckInterpBaseline(b, &base, *minTotal, *tolerance); err != nil {
-				return err
-			}
-			fmt.Printf("interp gate: ok (checked/fused %.2fx, serial %.1f MIPS vs baseline %.1f MIPS)\n",
-				b.TotalSuiteSpeedup, b.SerialFastMIPS, base.SerialFastMIPS)
-			return nil
 		},
 		"faultcampaign": func() error {
 			b, err := r.FaultCampaign(*seed, *trials)

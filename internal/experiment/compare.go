@@ -10,12 +10,10 @@ import (
 )
 
 // benchFile is one parsed BENCH_* file: its header plus exactly one typed
-// payload, selected by the header's kind (or inferred for legacy files
-// written before the header existed).
+// payload, selected by the header's kind.
 type benchFile struct {
 	path      string
 	meta      BenchMeta
-	interp    *InterpBench
 	faultcamp *FaultBench
 	warmstart *WarmstartBench
 	energy    *EnergyBench
@@ -27,29 +25,11 @@ func loadBenchFile(path string) (*benchFile, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The probe decodes only the header plus the interp shape's
-	// discriminating field, so legacy interp files (schema_version 0, no
-	// kind, written before the header existed) still classify.
-	var probe struct {
-		BenchMeta
-		SerialMIPS *float64 `json:"serial_fast_mips"`
-	}
-	if err := json.Unmarshal(raw, &probe); err != nil {
+	f := &benchFile{path: path}
+	if err := json.Unmarshal(raw, &f.meta); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	kind := probe.Kind
-	if kind == "" {
-		if probe.SerialMIPS == nil {
-			return nil, fmt.Errorf("%s: not a recognized BENCH_* payload (no kind header and no known shape)", path)
-		}
-		kind = "interp"
-	}
-	f := &benchFile{path: path, meta: probe.BenchMeta}
-	f.meta.Kind = kind
-	switch kind {
-	case "interp":
-		f.interp = new(InterpBench)
-		err = json.Unmarshal(raw, f.interp)
+	switch f.meta.Kind {
 	case "faultcampaign":
 		f.faultcamp = new(FaultBench)
 		err = json.Unmarshal(raw, f.faultcamp)
@@ -60,7 +40,7 @@ func loadBenchFile(path string) (*benchFile, error) {
 		f.energy = new(EnergyBench)
 		err = json.Unmarshal(raw, f.energy)
 	default:
-		return nil, fmt.Errorf("%s: unknown benchmark kind %q", path, kind)
+		return nil, fmt.Errorf("%s: unknown benchmark kind %q", path, f.meta.Kind)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
@@ -106,8 +86,8 @@ type compareRow struct {
 	unit   string
 	old    float64
 	new    float64
-	// higherBetter orients the verdict: MIPS and speedups regress downward,
-	// wall-clock times and joules regress upward.
+	// higherBetter orients the verdict: speedups and containment regress
+	// downward, wall-clock times and joules regress upward.
 	higherBetter bool
 }
 
@@ -137,10 +117,9 @@ func (r *compareRow) verdict(tolerancePct float64) string {
 // CompareBenchFiles diffs two BENCH_* files of the same kind, benchmark by
 // benchmark and metric by metric, rendering a delta table with a
 // tolerance-banded verdict per row. It returns the rendered table plus the
-// list of regressed rows; `sensmart-bench -exp compare` (and the
-// `make bench-diff` CI gate) fails when that list is non-empty. Host-bound
-// metrics (MIPS, wall ms) need a generous tolerance; ratio metrics
-// (speedups) are host-relative and stable.
+// list of regressed rows; `sensmart-bench -exp compare` fails when that list
+// is non-empty. Host-bound metrics (warmstart's wall times) need a generous
+// tolerance; simulated ones (verdict counts, joules) are deterministic.
 func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, []string, error) {
 	oldF, err := loadBenchFile(oldPath)
 	if err != nil {
@@ -154,7 +133,7 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 		return nil, nil, fmt.Errorf("kind mismatch: %s is %q, %s is %q",
 			oldPath, oldF.meta.Kind, newPath, newF.meta.Kind)
 	}
-	if o, n := oldF.meta.SchemaVersion, newF.meta.SchemaVersion; o != 0 && n != 0 && o != n {
+	if o, n := oldF.meta.SchemaVersion, newF.meta.SchemaVersion; o != n {
 		return nil, nil, fmt.Errorf("schema version mismatch: %s is v%d, %s is v%d", oldPath, o, newPath, n)
 	}
 
@@ -164,42 +143,6 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 		notes = append(notes, fmt.Sprintf("%s %q present in only one file; skipped", what, name))
 	}
 	switch oldF.meta.Kind {
-	case "interp":
-		o, n := oldF.interp, newF.interp
-		// Baselines written before block translation carry no fused columns;
-		// comparing against zeros would read as a regression, so only emit
-		// fused rows when both files have them.
-		haveFused := o.TotalSuiteSpeedup > 0 && n.TotalSuiteSpeedup > 0
-		if o.TotalSuiteSpeedup > 0 != (n.TotalSuiteSpeedup > 0) {
-			notes = append(notes, "fused-translation columns present in only one file; skipped")
-		}
-		byName := make(map[string]InterpBenchPoint, len(o.Benchmarks))
-		for _, p := range o.Benchmarks {
-			byName[p.Benchmark] = p
-		}
-		for _, np := range n.Benchmarks {
-			op, ok := byName[np.Benchmark]
-			if !ok {
-				missing("benchmark", np.Benchmark)
-				continue
-			}
-			delete(byName, np.Benchmark)
-			rows = append(rows,
-				compareRow{np.Benchmark, "checked_mips", "MIPS", op.CheckedMIPS, np.CheckedMIPS, true})
-			if haveFused {
-				rows = append(rows,
-					compareRow{np.Benchmark, "fused_mips", "MIPS", op.FusedMIPS, np.FusedMIPS, true})
-			}
-		}
-		for name := range byName {
-			missing("benchmark", name)
-		}
-		rows = append(rows,
-			compareRow{"suite", "serial_fast_mips", "MIPS", o.SerialFastMIPS, n.SerialFastMIPS, true})
-		if haveFused {
-			rows = append(rows,
-				compareRow{"suite", "total_suite_speedup", "x", o.TotalSuiteSpeedup, n.TotalSuiteSpeedup, true})
-		}
 	case "faultcampaign":
 		o, n := oldF.faultcamp, newF.faultcamp
 		byName := make(map[string]faultinject.Report, len(o.Benchmarks))
@@ -322,10 +265,6 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 			fmt.Sprintf("%.2f %s", r.new, r.unit),
 			delta, v,
 		})
-	}
-	if oldF.meta.SchemaVersion == 0 {
-		t.Notes = append(t.Notes, fmt.Sprintf("%s has no schema header (pre-v%d legacy file); kind inferred from shape",
-			oldPath, BenchSchemaVersion))
 	}
 	return t, regressions, nil
 }

@@ -6,26 +6,6 @@ import (
 	"testing"
 )
 
-// interpFixture builds a minimal but schema-complete interp payload.
-func interpFixture(serialMIPS float64) *InterpBench {
-	b := &InterpBench{
-		BenchMeta:          NewBenchMeta("interp", "kernel7"),
-		Reps:               3,
-		SerialFastMs:       10,
-		SerialFastMIPS:     serialMIPS,
-		FusedThreshold:     32,
-		TotalSuiteSpeedup:  6.0,
-		AllCyclesIdentical: true,
-	}
-	b.Benchmarks = []InterpBenchPoint{
-		{Benchmark: "lfsr", Cycles: 1000, Instructions: 500, CheckedMs: 3, FusedMs: 0.5,
-			CheckedMIPS: serialMIPS / 3, FusedMIPS: 2 * serialMIPS, CyclesIdentical: true},
-		{Benchmark: "sort", Cycles: 2000, Instructions: 900, CheckedMs: 6, FusedMs: 1,
-			CheckedMIPS: serialMIPS / 3, FusedMIPS: 2 * serialMIPS, CyclesIdentical: true},
-	}
-	return b
-}
-
 func writeFixture(t *testing.T, name string, v any) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), name)
@@ -36,41 +16,49 @@ func writeFixture(t *testing.T, name string, v any) string {
 }
 
 func TestCompareIdenticalFilesOK(t *testing.T) {
-	old := writeFixture(t, "old.json", interpFixture(100))
-	cur := writeFixture(t, "new.json", interpFixture(100))
-	tbl, regressions, err := CompareBenchFiles(old, cur, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressions) != 0 {
-		t.Fatalf("identical files regressed: %v", regressions)
-	}
-	for _, row := range tbl.Rows {
-		if v := row[len(row)-1]; v != "ok" && v != "n/a" {
-			t.Fatalf("identical files produced verdict %q in row %v", v, row)
+	for _, fixture := range []any{
+		energyFixture(5000, 900, 100, true),
+		warmstartFixture(true, 1.5, 1_000_000_000),
+	} {
+		old := writeFixture(t, "old.json", fixture)
+		cur := writeFixture(t, "new.json", fixture)
+		tbl, regressions, err := CompareBenchFiles(old, cur, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(regressions) != 0 {
+			t.Fatalf("identical files regressed: %v", regressions)
+		}
+		if len(tbl.Rows) == 0 {
+			t.Fatal("identical files produced no rows")
+		}
+		for _, row := range tbl.Rows {
+			if v := row[len(row)-1]; v != "ok" && v != "n/a" {
+				t.Fatalf("identical files produced verdict %q in row %v", v, row)
+			}
 		}
 	}
 }
 
 func TestCompareDetectsRegression(t *testing.T) {
-	old := writeFixture(t, "old.json", interpFixture(100))
-	slow := interpFixture(50) // halved throughput, well outside a 10% band
-	cur := writeFixture(t, "new.json", slow)
+	old := writeFixture(t, "old.json", energyFixture(5000, 900, 100, true))
+	// Doubled benchmark joules, well outside a 10% band.
+	cur := writeFixture(t, "new.json", energyFixture(10000, 900, 100, true))
 	_, regressions, err := CompareBenchFiles(old, cur, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regressions) == 0 {
-		t.Fatal("halved MIPS not flagged as a regression")
+		t.Fatal("doubled joules not flagged as a regression")
 	}
 	found := false
 	for _, r := range regressions {
-		if strings.Contains(r, "serial_fast_mips") {
+		if strings.Contains(r, "lfsr") && strings.Contains(r, "total_pj") {
 			found = true
 		}
 	}
 	if !found {
-		t.Fatalf("suite throughput row missing from regressions: %v", regressions)
+		t.Fatalf("benchmark joules row missing from regressions: %v", regressions)
 	}
 }
 
@@ -89,42 +77,17 @@ func TestCompareDirectionAware(t *testing.T) {
 }
 
 func TestCompareKindMismatch(t *testing.T) {
-	old := writeFixture(t, "old.json", interpFixture(100))
+	old := writeFixture(t, "old.json", energyFixture(5000, 900, 100, true))
 	cur := writeFixture(t, "new.json", warmstartFixture(true, 1.5, 1_000_000_000))
 	if _, _, err := CompareBenchFiles(old, cur, 10); err == nil {
-		t.Fatal("comparing interp against warmstart did not error")
-	}
-}
-
-// Files written before the BenchMeta header existed carry no kind; the
-// loader must still classify them by payload shape and note the inference.
-func TestCompareLegacyFileInference(t *testing.T) {
-	legacy := interpFixture(100)
-	legacy.BenchMeta = BenchMeta{} // schema_version 0, no kind
-	old := writeFixture(t, "old.json", legacy)
-	cur := writeFixture(t, "new.json", interpFixture(100))
-	tbl, regressions, err := CompareBenchFiles(old, cur, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressions) != 0 {
-		t.Fatalf("legacy comparison regressed: %v", regressions)
-	}
-	noted := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "legacy") {
-			noted = true
-		}
-	}
-	if !noted {
-		t.Fatalf("legacy inference not noted: %v", tbl.Notes)
+		t.Fatal("comparing energy against warmstart did not error")
 	}
 }
 
 func TestCompareMissingBenchmarkNoted(t *testing.T) {
-	old := writeFixture(t, "old.json", interpFixture(100))
-	cur := interpFixture(100)
-	cur.Benchmarks = cur.Benchmarks[:1] // drop "sort"
+	old := writeFixture(t, "old.json", energyFixture(5000, 900, 100, true))
+	cur := energyFixture(5000, 900, 100, true)
+	cur.Benchmarks = nil // drop "lfsr"
 	curPath := writeFixture(t, "new.json", cur)
 	tbl, _, err := CompareBenchFiles(old, curPath, 10)
 	if err != nil {
@@ -132,7 +95,7 @@ func TestCompareMissingBenchmarkNoted(t *testing.T) {
 	}
 	noted := false
 	for _, n := range tbl.Notes {
-		if strings.Contains(n, "sort") && strings.Contains(n, "only one file") {
+		if strings.Contains(n, "lfsr") && strings.Contains(n, "only one file") {
 			noted = true
 		}
 	}
@@ -258,66 +221,5 @@ func TestCompareEnergyMissingBaselineNoted(t *testing.T) {
 	}
 	if !noted {
 		t.Fatalf("dropped baseline not noted: %v", tbl.Notes)
-	}
-}
-
-func TestCheckInterpBaselineTelemetryGate(t *testing.T) {
-	base := interpFixture(100)
-	cur := interpFixture(100)
-	if err := CheckInterpBaseline(cur, base, 1.5, 40); err != nil {
-		t.Fatalf("clean bench failed the gate: %v", err)
-	}
-	cur.TelemetryOverheadPct = 1.5
-	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
-		t.Fatal("1.5% armed-telemetry overhead passed the <1% gate")
-	}
-}
-
-func TestCheckInterpBaselineEnergyGate(t *testing.T) {
-	// The gate reads only the fresh run's field, so baselines written before
-	// the energy meter existed (no energy_overhead_pct) must keep passing.
-	base := interpFixture(100)
-	cur := interpFixture(100)
-	cur.EnergyOverheadPct = 1.5
-	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
-		t.Fatal("1.5% armed-energy overhead passed the <1% gate")
-	}
-}
-
-func TestCheckInterpBaselineTotalGate(t *testing.T) {
-	base := interpFixture(100)
-	cur := interpFixture(100)
-	cur.TotalSuiteSpeedup = 1.4
-	if err := CheckInterpBaseline(cur, base, 1.5, 40); err == nil {
-		t.Fatal("1.4x total suite speedup passed the 1.5x gate")
-	}
-}
-
-func TestCompareInterpOldBaselineWithoutFusedColumns(t *testing.T) {
-	// A baseline written before block translation has zero fused columns;
-	// the comparator must skip them (with a note), not flag regressions.
-	old := interpFixture(100)
-	old.TotalSuiteSpeedup = 0
-	for i := range old.Benchmarks {
-		old.Benchmarks[i].FusedMs = 0
-		old.Benchmarks[i].FusedMIPS = 0
-	}
-	oldPath := writeFixture(t, "old.json", old)
-	curPath := writeFixture(t, "new.json", interpFixture(100))
-	tbl, regressions, err := CompareBenchFiles(oldPath, curPath, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(regressions) != 0 {
-		t.Fatalf("fused columns vs pre-translation baseline flagged: %v", regressions)
-	}
-	noted := false
-	for _, n := range tbl.Notes {
-		if strings.Contains(n, "fused") {
-			noted = true
-		}
-	}
-	if !noted {
-		t.Fatalf("skipped fused columns not noted: %v", tbl.Notes)
 	}
 }

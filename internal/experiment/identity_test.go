@@ -668,6 +668,72 @@ func TestTranslationObserverByteIdentity(t *testing.T) {
 	eachCase(t, cs[len(cs)-1:], func(t *testing.T, f *identFixture) { runRows(t, 8, f.modeRows()) })
 }
 
+// minFusedShare is the least share of a kernel benchmark's instructions its
+// plain default run must retire in fused blocks (99.50–99.76 % measured when
+// the floor was set).
+const minFusedShare = 0.99
+
+// TestArmedObserversKeepFusedTier pins where the default run executes, not
+// only what it simulates. An energy meter hooks device transitions and the
+// sleep path, and a sampler whose interval lies past the run never comes
+// due; attaching either must leave the plain run's cycles, instructions and
+// every translation counter unchanged. A hook that shortened fused windows
+// or sent instructions to Step would move the counters while every row of
+// the matrix still matched. The plain run must also retire at least
+// minFusedShare of its instructions in fused blocks.
+func TestArmedObserversKeepFusedTier(t *testing.T) {
+	type tierRun struct {
+		cycles, insts uint64
+		tiers         mcu.TranslationStats
+	}
+	run := func(p *image.Program, opts ...core.Option) (tierRun, error) {
+		sys := core.NewSystem(opts...)
+		_, err := sys.Deploy(p)
+		if err == nil {
+			err = sys.Boot()
+		}
+		if err == nil {
+			err = sys.Run(identLimit)
+		}
+		if err == nil && !sys.Done() {
+			err = fmt.Errorf("%d-cycle limit hit before completion", uint64(identLimit))
+		}
+		m := sys.Machine()
+		return tierRun{m.Cycles(), m.Instructions(), m.TranslationStats()}, err
+	}
+	armed := []struct {
+		name string
+		opt  func() core.Option
+	}{
+		{"+energy", func() core.Option { return core.WithEnergy(new(energy.Meter)) }},
+		{"+telemetry", func() core.Option {
+			return core.WithTelemetry(telemetry.New(telemetry.Options{Every: identLimit, Ring: 8}))
+		}},
+	}
+	for _, kb := range progs.KernelBenchmarks() {
+		t.Run(kb.Name, func(t *testing.T) {
+			plain, err := run(kb.Program)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if share := float64(plain.tiers.FusedInsts) / float64(plain.insts); share < minFusedShare {
+				t.Errorf("plain run retired %.4f of its instructions fused, want >= %.2f: %+v",
+					share, minFusedShare, plain.tiers)
+			}
+			for _, a := range armed {
+				got, err := run(kb.Program, a.opt())
+				if err != nil {
+					t.Fatalf("%s: %v", a.name, err)
+				}
+				if got != plain {
+					t.Errorf("%s: cycle %d, %d instructions, %+v; plain run: cycle %d, %d instructions, %+v",
+						a.name, got.cycles, got.insts, got.tiers, plain.cycles, plain.insts, plain.tiers)
+				}
+			}
+		})
+	}
+}
+
 // resumeIdentity checks every case's resume rows through variant on workers
 // goroutines, after the chained run that captures the probes has matched the
 // reference: one chain per observer set in obs, each resumed into systems

@@ -78,33 +78,7 @@ type senSmartRun struct {
 // runSenSmart naturalizes the programs, boots a kernel with one task per
 // program, and runs until all tasks exit (or the cycle limit).
 func runSenSmart(cfg kernel.Config, limit uint64, programs ...*image.Program) (*senSmartRun, error) {
-	return runSenSmartOn(mcu.New(), cfg, limit, programs...)
-}
-
-// runSenSmartOn is runSenSmart on a caller-provided machine, so benchmarks
-// can configure the interpreter (e.g. force the checked stepwise loop)
-// before the kernel boots.
-func runSenSmartOn(m *mcu.Machine, cfg kernel.Config, limit uint64, programs ...*image.Program) (*senSmartRun, error) {
-	k, err := bootSenSmart(m, cfg, programs...)
-	if err != nil {
-		return nil, err
-	}
-	if err := k.Run(limit); err != nil {
-		return nil, err
-	}
-	if !k.Done() {
-		return nil, fmt.Errorf("experiment: %d-cycle limit hit before completion", limit)
-	}
-	return &senSmartRun{K: k, Cycles: m.Cycles(), Idle: m.IdleCycles()}, nil
-}
-
-// bootSenSmart is everything runSenSmartOn does before the run itself:
-// naturalize the programs, admit them as tasks, and boot the kernel. The
-// throughput benchmarks use the split to keep setup — dominated by host
-// allocation, whose cost swings by most of a millisecond with allocator
-// state — out of their timed windows; everything else goes through
-// runSenSmartOn.
-func bootSenSmart(m *mcu.Machine, cfg kernel.Config, programs ...*image.Program) (*kernel.Kernel, error) {
+	m := mcu.New()
 	k := kernel.New(m, cfg)
 	for i, p := range programs {
 		nat, err := naturalize(p, rewriter.Config{})
@@ -118,7 +92,13 @@ func bootSenSmart(m *mcu.Machine, cfg kernel.Config, programs ...*image.Program)
 	if err := k.Boot(); err != nil {
 		return nil, err
 	}
-	return k, nil
+	if err := k.Run(limit); err != nil {
+		return nil, err
+	}
+	if !k.Done() {
+		return nil, fmt.Errorf("experiment: %d-cycle limit hit before completion", limit)
+	}
+	return &senSmartRun{K: k, Cycles: m.Cycles(), Idle: m.IdleCycles()}, nil
 }
 
 // runNativeCycles executes a program bare-metal and returns its cycle count.

@@ -8,19 +8,16 @@ import (
 
 // BenchSchemaVersion is the current BENCH_*.json header version. Bump it
 // when a payload changes shape incompatibly; the comparator refuses to diff
-// files whose versions disagree (a version of 0 marks a pre-header legacy
-// file, which still compares via field inference).
+// files whose versions disagree.
 const BenchSchemaVersion = 1
 
 // BenchMeta is the common header every BENCH_*.json payload embeds: schema
 // version, which benchmark kind and set the file records, and enough host
-// context to interpret absolute wall-clock numbers. Embedding keeps the
-// legacy top-level json keys ("gomaxprocs", "numcpu") stable, so files
-// written before the header existed still unmarshal.
+// context to interpret absolute wall-clock numbers.
 type BenchMeta struct {
 	SchemaVersion int `json:"schema_version"`
-	// Kind names the payload shape: "interp", "faultcampaign", "warmstart",
-	// or "energy".
+	// Kind names the payload shape: "faultcampaign", "warmstart" or
+	// "energy".
 	Kind string `json:"kind"`
 	// BenchmarkSet names the workload collection the numbers cover.
 	BenchmarkSet string `json:"benchmark_set"`

@@ -113,7 +113,7 @@ func (m *Machine) syncDevices() {
 	// Timer0 overflow.
 	if d.t0Prescale != 0 {
 		for {
-			of := m.timer0OverflowCycle()
+			of := d.timer0OverflowCycle()
 			if of > now {
 				break
 			}
@@ -155,17 +155,19 @@ func (m *Machine) syncDevices() {
 }
 
 // timer0OverflowCycle returns the cycle at which TCNT0 next wraps.
-func (m *Machine) timer0OverflowCycle() uint64 {
-	d := &m.dev
+func (d *devices) timer0OverflowCycle() uint64 {
 	remaining := uint64(256-d.t0BaseCount) * uint64(d.t0Prescale)
 	return d.t0BaseCycle + remaining
 }
 
-func (m *Machine) recomputeNextEvent() {
-	d := &m.dev
+func (m *Machine) recomputeNextEvent() { m.dev.nextEvent = m.dev.horizon() }
+
+// horizon returns the earliest cycle at which a device timeline fires, or
+// noEvent: the value nextEvent is kept at.
+func (d *devices) horizon() uint64 {
 	next := uint64(noEvent)
 	if d.t0Prescale != 0 {
-		if of := m.timer0OverflowCycle(); of < next {
+		if of := d.timer0OverflowCycle(); of < next {
 			next = of
 		}
 	}
@@ -178,7 +180,7 @@ func (m *Machine) recomputeNextEvent() {
 	if d.radioPending && d.radioBusyUntil < next {
 		next = d.radioBusyUntil
 	}
-	d.nextEvent = next
+	return next
 }
 
 // timer0Count returns the live TCNT0 value.

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // Capture/restore errors. Capture refuses state it cannot serialize; restore
@@ -25,6 +26,10 @@ var (
 	// differs from the snapshot's, so the restored sample schedule would not
 	// reproduce the source run's boundaries.
 	ErrSamplerMismatch = errors.New("mcu: telemetry interval differs from snapshot's")
+	// ErrDeviceState: the snapshot's device fields are impossible (a Timer0
+	// count or prescaler TCCR0 cannot produce) or disagree with each other
+	// (a next-event cycle that is not the earliest device event).
+	ErrDeviceState = errors.New("mcu: inconsistent device state in snapshot")
 )
 
 // DeviceState is the serializable peripheral state of a Machine.
@@ -167,7 +172,9 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 // other afterward. Attached hooks (trap handler, recorder, profiler,
 // sampler) are left as wired by the machine's constructor; only the
 // sampler's schedule is restored, and its interval must match the
-// snapshot's. The hook schedule's due cycle is recomputed from it.
+// snapshot's. The hook schedule's due cycle is recomputed from it, and the
+// device event horizon is checked against the device timelines it derives
+// from.
 func (m *Machine) RestoreState(st *MachineState) error {
 	if len(st.Data) != DataSize {
 		return fmt.Errorf("%w: %d bytes, want %d", ErrSnapshotDataSize, len(st.Data), DataSize)
@@ -178,6 +185,35 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	if m.sampleFn != nil && m.sampleEvery != st.SampleEvery {
 		return fmt.Errorf("%w: target %d, snapshot %d",
 			ErrSamplerMismatch, m.sampleEvery, st.SampleEvery)
+	}
+	switch {
+	case st.Dev.T0BaseCount > 255:
+		return fmt.Errorf("%w: Timer0 count %d", ErrDeviceState, st.Dev.T0BaseCount)
+	case !slices.Contains(timer0Prescale[:], st.Dev.T0Prescale):
+		return fmt.Errorf("%w: Timer0 prescaler %d", ErrDeviceState, st.Dev.T0Prescale)
+	}
+	dev := devices{
+		t0BaseCycle:    st.Dev.T0BaseCycle,
+		t0BaseCount:    st.Dev.T0BaseCount,
+		t0Prescale:     st.Dev.T0Prescale,
+		adcBusyUntil:   st.Dev.ADCBusyUntil,
+		adcPending:     st.Dev.ADCPending,
+		adcLFSR:        st.Dev.ADCLFSR,
+		uartBusyUntil:  st.Dev.UARTBusyUntil,
+		uartPendingB:   st.Dev.UARTPendingB,
+		uartPending:    st.Dev.UARTPending,
+		uartOut:        append([]byte(nil), st.Dev.UARTOut...),
+		radioBusyUntil: st.Dev.RadioBusyUntil,
+		radioPendingB:  st.Dev.RadioPendingB,
+		radioPending:   st.Dev.RadioPending,
+		radioOut:       append([]RadioFrame(nil), st.Dev.RadioOut...),
+		radioIn:        append([]byte(nil), st.Dev.RadioIn...),
+	}
+	// The horizon is derived state: a restored machine sleeps and fuses up
+	// to it, so one past a pending event would lose that event.
+	if dev.nextEvent = dev.horizon(); dev.nextEvent != st.Dev.NextEvent {
+		return fmt.Errorf("%w: next event at cycle %d, device timelines say %d",
+			ErrDeviceState, st.Dev.NextEvent, dev.nextEvent)
 	}
 	copy(m.data[:], st.Data)
 	m.pc = st.PC & (FlashWords - 1)
@@ -204,23 +240,6 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	// equal now), so drop every translated block and landing counter rather
 	// than trust them. They rebuild from scratch, exactly as uops refetch.
 	m.xl.reset()
-	m.dev = devices{
-		nextEvent:      st.Dev.NextEvent,
-		t0BaseCycle:    st.Dev.T0BaseCycle,
-		t0BaseCount:    st.Dev.T0BaseCount,
-		t0Prescale:     st.Dev.T0Prescale,
-		adcBusyUntil:   st.Dev.ADCBusyUntil,
-		adcPending:     st.Dev.ADCPending,
-		adcLFSR:        st.Dev.ADCLFSR,
-		uartBusyUntil:  st.Dev.UARTBusyUntil,
-		uartPendingB:   st.Dev.UARTPendingB,
-		uartPending:    st.Dev.UARTPending,
-		uartOut:        append([]byte(nil), st.Dev.UARTOut...),
-		radioBusyUntil: st.Dev.RadioBusyUntil,
-		radioPendingB:  st.Dev.RadioPendingB,
-		radioPending:   st.Dev.RadioPending,
-		radioOut:       append([]RadioFrame(nil), st.Dev.RadioOut...),
-		radioIn:        append([]byte(nil), st.Dev.RadioIn...),
-	}
+	m.dev = dev
 	return nil
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"reflect"
 	"slices"
 	"sync"
 	"testing"
@@ -238,25 +239,90 @@ func TestFlashDigestTracksImage(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsBadGeometry: a snapshot with a truncated data segment or
-// a mismatched sampler interval must be refused.
+// uartPendingSrc sends one byte and sleeps with interrupts off: the sleep
+// runs to the byte's completion, then faults with no event left to wake it.
+const uartPendingSrc = `
+    ldi r16, 0x41
+    out UDR0, r16
+    sleep
+`
+
+// TestRestoreRejectsBadGeometry: a snapshot that does not fit the target (a
+// truncated data segment, a mismatched sampler interval) or whose device
+// state no run can produce must be refused before the machine changes. The
+// device rows edit a snapshot taken with a UART byte in flight until cycle
+// 1282: restored with a next-event cycle past it, the machine would sleep
+// with no event scheduled and never send the byte.
 func TestRestoreRejectsBadGeometry(t *testing.T) {
-	src := load(t, stateWorkSrc)
-	st, err := src.CaptureState()
+	work, err := load(t, stateWorkSrc).CaptureState()
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	trunc := *st
-	trunc.Data = st.Data[:100]
-	if err := load(t, stateWorkSrc).RestoreState(&trunc); !errors.Is(err, ErrSnapshotDataSize) {
-		t.Errorf("restore of truncated data segment: %v, want ErrSnapshotDataSize", err)
+	src := load(t, uartPendingSrc)
+	for range 2 {
+		if err := src.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pending, err := src.CaptureState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pending.Dev.NextEvent != 2+UARTByteCycles {
+		t.Fatalf("snapshot's next event at cycle %d, want %d", pending.Dev.NextEvent, 2+UARTByteCycles)
+	}
+	m := load(t, uartPendingSrc)
+	if err := m.RestoreState(pending); err != nil {
+		t.Fatal(err)
+	}
+	var f *Fault
+	if err := m.Run(10_000); !errors.As(err, &f) || f.Kind != FaultDeadSleep {
+		t.Fatalf("faithful restore: %v, want a dead sleep", err)
+	}
+	if got := string(m.UARTOutput()); got != "A" || m.Cycles() != 2+UARTByteCycles {
+		t.Fatalf("faithful restore sent %q by cycle %d, want \"A\" by cycle %d", got, m.Cycles(), 2+UARTByteCycles)
 	}
 
-	sampled := load(t, stateWorkSrc)
-	sampled.SetSampler(4096, func(uint64) {})
-	if err := sampled.RestoreState(st); !errors.Is(err, ErrSamplerMismatch) {
-		t.Errorf("restore with different sampler interval: %v, want ErrSamplerMismatch", err)
+	cases := []struct {
+		name    string
+		src     string
+		st      *MachineState
+		sampled bool
+		edit    func(st *MachineState)
+		want    error
+	}{
+		{"truncated data segment", stateWorkSrc, work, false,
+			func(st *MachineState) { st.Data = st.Data[:100] }, ErrSnapshotDataSize},
+		{"sampler interval", stateWorkSrc, work, true,
+			func(*MachineState) {}, ErrSamplerMismatch},
+		{"next event past the pending byte", uartPendingSrc, pending, false,
+			func(st *MachineState) { st.Dev.NextEvent = ^uint64(0) }, ErrDeviceState},
+		{"next event before the pending byte", uartPendingSrc, pending, false,
+			func(st *MachineState) { st.Dev.NextEvent-- }, ErrDeviceState},
+		{"Timer0 count above 255", uartPendingSrc, pending, false,
+			func(st *MachineState) { st.Dev.T0BaseCount = 256 }, ErrDeviceState},
+		{"Timer0 prescaler not a TCCR0 divisor", uartPendingSrc, pending, false,
+			func(st *MachineState) { st.Dev.T0Prescale = 3 }, ErrDeviceState},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			st := *tc.st
+			tc.edit(&st)
+			m := load(t, tc.src)
+			if tc.sampled {
+				m.SetSampler(4096, func(uint64) {})
+			}
+			before, err := m.CaptureState()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.RestoreState(&st); !errors.Is(err, tc.want) {
+				t.Fatalf("restore: %v, want %v", err, tc.want)
+			}
+			if after, _ := m.CaptureState(); !reflect.DeepEqual(after, before) {
+				t.Error("a refused restore changed the machine")
+			}
+		})
 	}
 }
 

@@ -108,23 +108,17 @@ const (
 	fSbiw
 	fBset
 	fBclr
-	fInData  // IN from a plain register/IO byte
-	fInSreg  // IN from SREG: reads the block-local flags
-	fInDev   // IN from a cycle-sensitive device register (flush cycle first)
-	fOutData // OUT to a plain register/IO byte
-	fOutSreg // OUT to SREG: writes the block-local flags
+	fInData  // IN/LDS from a plain register/IO byte
+	fInSreg  // IN/LDS from SREG: reads the block-local flags
+	fInDev   // IN/LDS from a cycle-sensitive device register (flush cycle first)
+	fOutData // OUT/STS to a plain register/IO byte
+	fOutSreg // OUT/STS to SREG: writes the block-local flags
 	fOutDev  // OUT to a device register: flush, write, re-check the horizon
 	fSbiData // SBI/CBI on a plain IO byte (direct RMW)
 	fCbiData
-	fLdsData // LDS from a plain register/IO byte
-	fLdsSreg
-	fLdsDev
 	fLdsRAM // LDS from SRAM (guard + watchpoints via loadByte)
-	fStsData
-	fStsSreg
 	fStsRAM
-	fLdInd // LD through X/Y/Z (+variants): dynamic address via loadByte
-	fLdIndInc
+	fLdIndInc // LD through X/Y/Z (+variants): dynamic address via loadByte
 	fLdIndDec
 	fLdd
 	fPush
@@ -378,7 +372,7 @@ func pollLoop(b *block) bool {
 	}
 	for i := range b.ops {
 		switch f := &b.ops[i]; f.code {
-		case fInData, fInDev, fLdsData, fLdsDev:
+		case fInData, fInDev:
 			if !stableReadReg(f.a) {
 				return false
 			}
@@ -512,24 +506,25 @@ func emitFop(u *uop) (f fop, ok bool) {
 	case avr.OpCbi:
 		f.code = fCbiData
 	case avr.OpLds:
+		// Below SRAM, LDS and STS execute exactly like IN and OUT.
 		switch {
 		case u.a == addrSREG:
-			f.code = fLdsSreg
+			f.code = fInSreg
 		case u.a >= SRAMBase:
 			f.code = fLdsRAM
 		case devReadReg(u.a):
-			f.code = fLdsDev
+			f.code = fInDev
 		default:
-			f.code = fLdsData
+			f.code = fInData
 		}
 	case avr.OpSts:
 		switch {
 		case u.a == addrSREG:
-			f.code = fStsSreg
+			f.code = fOutSreg
 		case u.a >= SRAMBase:
 			f.code = fStsRAM
 		default:
-			f.code = fStsData
+			f.code = fOutData
 		}
 	case avr.OpLdX, avr.OpLddY, avr.OpLddZ:
 		if u.in.Op == avr.OpLdX {
@@ -585,9 +580,9 @@ func fopFlags(code uint8, k byte) (r, w byte) {
 		w = flagC | flagZ
 	case fBset, fBclr:
 		w = k
-	case fInSreg, fLdsSreg:
+	case fInSreg:
 		r = allFlags
-	case fOutSreg, fStsSreg:
+	case fOutSreg:
 		w = allFlags
 	}
 	return r, w
@@ -599,8 +594,7 @@ func fopFlags(code uint8, k byte) (r, w byte) {
 // architectural SREG must be exact.
 func fopFaultable(code uint8) bool {
 	switch code {
-	case fLdsRAM, fStsRAM, fLdInd, fLdIndInc, fLdIndDec, fLdd, fPush, fPop,
-		fOutDev:
+	case fLdsRAM, fStsRAM, fLdIndInc, fLdIndDec, fLdd, fPush, fPop, fOutDev:
 		return true
 	}
 	return false
@@ -1136,13 +1130,6 @@ loop:
 				m.data[f.a] |= f.k
 			case fCbiData:
 				m.data[f.a] &^= f.k
-			case fLdsData:
-				m.data[f.d] = m.data[f.a]
-			case fLdsSreg:
-				m.data[f.d] = sreg
-			case fLdsDev:
-				m.cycle = start + uint64(f.cum)
-				m.data[f.d] = m.readIO(f.a)
 			case fLdsRAM:
 				m.cycle = start + uint64(f.cum)
 				m.pc = f.pc
@@ -1155,10 +1142,6 @@ loop:
 				}
 				m.data[f.d] = v
 				sreg = m.data[addrSREG]
-			case fStsData:
-				m.data[f.a] = m.data[f.d]
-			case fStsSreg:
-				sreg = m.data[f.d]
 			case fStsRAM:
 				m.cycle = start + uint64(f.cum)
 				m.pc = f.pc
