@@ -197,15 +197,23 @@ func (s *System) Naturalize(prog *image.Program) (*rewriter.Naturalized, error) 
 	return nat, nil
 }
 
-// Deploy naturalizes prog and admits one task instance. Before Boot it
-// registers the task for startup; after Boot it spawns the task immediately
-// (the paper's dynamic-reprogramming service).
+// Deploy naturalizes prog and admits one task instance named
+// "<program>#<index>". Before Boot it registers the task for startup; after
+// Boot it spawns the task immediately (the paper's dynamic-reprogramming
+// service).
 func (s *System) Deploy(prog *image.Program) (*kernel.Task, error) {
 	nat, err := s.Naturalize(prog)
 	if err != nil {
 		return nil, err
 	}
-	name := fmt.Sprintf("%s#%d", prog.Name, len(s.tasks))
+	return s.Admit(fmt.Sprintf("%s#%d", prog.Name, len(s.tasks)), nat)
+}
+
+// Admit admits one task instance of an already naturalized program under
+// name, as Deploy does after naturalizing and naming. The kernel only reads
+// nat, so one naturalized program may be admitted into many systems; forks
+// admit it again under the same name.
+func (s *System) Admit(name string, nat *rewriter.Naturalized) (*kernel.Task, error) {
 	t, err := s.kernel.AddTask(name, nat)
 	if err != nil {
 		return nil, err

@@ -243,3 +243,39 @@ func TestForkDeployReusesImage(t *testing.T) {
 		t.Errorf("the fork's kernel loaded the program %d times, want once", loads)
 	}
 }
+
+// TestAdmitKeepsName: Admit registers the task under the name it is given
+// and shares the naturalized program, a fork admits it again under that
+// name, and Deploy's index counts admitted tasks.
+func TestAdmitKeepsName(t *testing.T) {
+	sys := NewSystem()
+	prog, err := sys.CompileString("counter", counterAsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nat, err := sys.Naturalize(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	task, err := sys.Admit("victim", nat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if task.Name != "victim" || task.Nat != nat {
+		t.Errorf("admitted %q with nat %p, want \"victim\" with %p", task.Name, task.Nat, nat)
+	}
+	deployed, err := sys.Deploy(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deployed.Name != "counter#1" {
+		t.Errorf("Deploy after Admit named the task %q, want counter#1", deployed.Name)
+	}
+	f, err := sys.Fork()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ft := f.Tasks(); len(ft) != 2 || ft[0].Name != "victim" || ft[0].Nat != nat {
+		t.Errorf("fork's first task is %q, want \"victim\" sharing the parent's program", ft[0].Name)
+	}
+}

@@ -3,12 +3,16 @@ package faultinject
 import (
 	"bytes"
 	"fmt"
+	"sort"
+	"sync"
 
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/kernel"
 	"repro/internal/mcu"
 	"repro/internal/progs"
 	"repro/internal/rewriter"
+	"repro/internal/snapshot"
 	"repro/internal/trace"
 )
 
@@ -70,6 +74,9 @@ type Report struct {
 	GoldenCycles uint64         `json:"golden_cycles"`
 	Verdicts     map[string]int `json:"verdicts"`
 	Trials       []Trial        `json:"trials"`
+	// Ledger splits the call's simulated work by phase. It stays out of
+	// the JSON, so report digests do not depend on how the work was done.
+	Ledger Ledger `json:"-"`
 }
 
 // goldenLimit caps the uninjected reference run; a benchmark that cannot
@@ -85,11 +92,50 @@ const trialSlack = 2_000_000
 // whether the victim holds the CPU.
 const rearmDelay = 512
 
-// outcome captures everything classify needs from one boot-and-run.
+// goldenEvery is the spacing, in cycles, of the checkpoints the golden run
+// keeps for trials and forensic replays to restore. Each capture copies the
+// whole data space, so the spacing trades allocation against re-executed
+// prefix: on the repository benchmark's campaign workload, 2^15 allocated
+// 18 % more per call than 2^16 and 2^17 9 % less, while throughput stayed
+// within run-to-run noise of 2^16.
+const goldenEvery = 1 << 16
+
+// Ledger counts one RunBenchmark call's simulated cycles by phase. Every
+// count is deterministic. Restored cycles are golden-run prefix that forks
+// skipped; every other count is work executed.
+type Ledger struct {
+	// Restored sums the capture cycles of the golden checkpoints that trials
+	// and replays restored instead of re-executing them from boot.
+	Restored uint64
+	// Booted counts forks that booted from cycle 0 because no golden
+	// checkpoint came before their start.
+	Booted int
+	// TrialPrefix is what trials executed before their injection fired
+	// (all of an unfired trial's run), TrialSuffix what they executed after.
+	TrialPrefix, TrialSuffix uint64
+	// TrialLead is the most any trial restored from a checkpoint executed
+	// between that checkpoint and its planned fire cycle.
+	TrialLead uint64
+	// LockstepPrefix is what both sides of the forensic lockstep executed
+	// up to the fire cycle, LockstepStepped what they then executed one
+	// instruction boundary at a time.
+	LockstepPrefix, LockstepStepped uint64
+	// Traced is what the traced forensic replays executed. TracedBoots
+	// counts those that restored a checkpoint too close to the divergence
+	// cycle to fill the event ring and so replayed again from boot.
+	Traced      uint64
+	TracedBoots int
+}
+
+// outcome captures everything classify needs from one run.
 type outcome struct {
 	k                *kernel.Kernel
 	m                *mcu.Machine
 	victim, sentinel *kernel.Task
+	// base is the clock the run started from: the restored checkpoint's
+	// capture cycle, or the end of boot when restored is false.
+	base     uint64
+	restored bool
 	// victimDone is set by the exit hook on the victim's termination —
 	// normal or faulted; ExitReason distinguishes. The machine halts
 	// there: a trial is over once its victim is.
@@ -128,55 +174,158 @@ func flattenRadio(frames []mcu.RadioFrame) []byte {
 	return out
 }
 
-// setupOnce boots victim+sentinel and lets arm plant an injection, stopping
-// short of the run itself — forensic replays drive the kernel boundary by
-// boundary instead of to completion. rec, when non-nil, attaches a trace
-// recorder for the replay that reconstructs the event tail.
-func setupOnce(victimName string, victimNat, sentinelNat *rewriter.Naturalized,
-	arm func(o *outcome), rec *trace.Recorder) (*outcome, error) {
-	o := &outcome{m: mcu.New()}
-	cfg := kernel.Config{Trace: rec, OnTaskExit: func(k *kernel.Kernel, t *kernel.Task) {
-		if t != o.victim || o.victimDone {
-			return
-		}
-		o.victimDone = true
-		o.exitCycle = o.m.Cycles()
-		o.victimHeap = snapshotHeap(o.m, t)
-		o.uart = o.m.UARTOutput()
-		o.radio = flattenRadio(o.m.RadioOutput())
-		o.m.Halt("faultinject: victim done")
-	}}
-	o.k = kernel.New(o.m, cfg)
-	var err error
-	if o.victim, err = o.k.AddTask(victimName, victimNat); err != nil {
+// sentinelNat is the witness task, naturalized once per process. A kernel
+// only reads the programs it admits, so every campaign system shares it.
+var sentinelNat = sync.OnceValues(func() (*rewriter.Naturalized, error) {
+	return rewriter.Rewrite(SentinelProgram(), rewriter.Config{})
+})
+
+// campaign is the state of one RunBenchmark call: the golden system that
+// every trial and replay forks, the checkpoints its run kept, and the runs
+// in flight. A fork shares its parent's kernel configuration, exit hook
+// included, so the hook finds each run's outcome by its kernel.
+type campaign struct {
+	name   string
+	golden *core.System
+	ring   []*snapshot.State // golden checkpoints, ascending capture cycles
+	runs   map[*kernel.Kernel]*outcome
+	// traced is an unbooted twin of golden with a forensic trace ring
+	// attached, built on first use: traced replays fork it.
+	traced *core.System
+	ledger Ledger
+}
+
+func newCampaign(name string) *campaign {
+	return &campaign{name: name, runs: make(map[*kernel.Kernel]*outcome)}
+}
+
+// newSystem builds an unbooted system running the victim, under the
+// campaign's name, beside the sentinel.
+func (c *campaign) newSystem(victimNat, sentinelNat *rewriter.Naturalized, opts ...core.Option) (*core.System, error) {
+	opts = append([]core.Option{core.WithKernelConfig(kernel.Config{OnTaskExit: c.onExit})}, opts...)
+	sys := core.NewSystem(opts...)
+	if _, err := sys.Admit(c.name, victimNat); err != nil {
 		return nil, fmt.Errorf("faultinject: add victim: %w", err)
 	}
-	if o.sentinel, err = o.k.AddTask("sentinel", sentinelNat); err != nil {
+	if _, err := sys.Admit("sentinel", sentinelNat); err != nil {
 		return nil, fmt.Errorf("faultinject: add sentinel: %w", err)
 	}
-	if err := o.k.Boot(); err != nil {
+	return sys, nil
+}
+
+// onExit is every campaign system's exit hook: it records the victim's
+// outputs and halts the machine, since a run is over once its victim is.
+func (c *campaign) onExit(k *kernel.Kernel, t *kernel.Task) {
+	o := c.runs[k]
+	if o == nil || t != o.victim || o.victimDone {
+		return
+	}
+	o.victimDone = true
+	o.exitCycle = o.m.Cycles()
+	o.victimHeap = snapshotHeap(o.m, t)
+	o.uart = o.m.UARTOutput()
+	o.radio = flattenRadio(o.m.RadioOutput())
+	o.m.Halt("faultinject: victim done")
+}
+
+// track registers a run of sys with the exit hook.
+func (c *campaign) track(sys *core.System) *outcome {
+	tasks := sys.Tasks()
+	o := &outcome{k: sys.Kernel(), m: sys.Machine(), victim: tasks[0], sentinel: tasks[1]}
+	c.runs[o.k] = o
+	return o
+}
+
+// release drops finished runs from the hook's table.
+func (c *campaign) release(runs ...*outcome) {
+	for _, o := range runs {
+		delete(c.runs, o.k)
+	}
+}
+
+// recordGolden boots the golden system and runs it uninjected, capturing a
+// checkpoint every `every` cycles (none when every is 0) and keeping them
+// all. The golden run carries no trace recorder: with one attached the
+// kernel declines to fast-forward trap-closed device-poll loops.
+func (c *campaign) recordGolden(every uint64) (*outcome, error) {
+	o := c.track(c.golden)
+	if err := c.golden.Boot(); err != nil {
 		return nil, fmt.Errorf("faultinject: boot: %w", err)
 	}
-	if arm != nil {
-		arm(o)
+	var captureErr error
+	var arm func(at uint64)
+	arm = func(at uint64) {
+		c.golden.ArmCheckpoint(at, func(st *snapshot.State, err error) {
+			if err != nil {
+				captureErr = err
+				return
+			}
+			c.ring = append(c.ring, st)
+			// A boundary may overshoot the next slot (a long trap or sleep
+			// window); keep the spacing from where the run is.
+			arm(max(at+every, o.m.Cycles()+1))
+		})
+	}
+	if every > 0 {
+		arm(every)
+	}
+	c.finish(o, goldenLimit)
+	o.m.SetCheckpoint(0, nil) // drop a not-yet-fired capture
+	if captureErr != nil {
+		return nil, fmt.Errorf("faultinject: golden checkpoint: %w", captureErr)
 	}
 	return o, nil
 }
 
-// runOnce boots victim+sentinel, lets arm plant an injection, and runs to
-// the victim's termination or the cycle limit. Setup failures are engine
-// errors; a failing kernel run lands in outcome.runErr for classification.
-func runOnce(victimName string, victimNat, sentinelNat *rewriter.Naturalized, limit uint64,
-	arm func(o *outcome)) (*outcome, error) {
-	o, err := setupOnce(victimName, victimNat, sentinelNat, arm, nil)
+// checkpoint returns the newest golden checkpoint captured at or before
+// cycle, or nil.
+func (c *campaign) checkpoint(cycle uint64) *snapshot.State {
+	n := sort.Search(len(c.ring), func(i int) bool { return c.ring[i].Machine.Cycle > cycle })
+	if n == 0 {
+		return nil
+	}
+	return c.ring[n-1]
+}
+
+// start forks src, a system built like golden, and positions the fork at
+// the newest golden checkpoint at or before cycle: restored, in place of
+// re-executing the golden prefix, or booted when no checkpoint comes
+// before cycle. A fork carrying a trace recorder starts its trace empty
+// (the golden run records none).
+func (c *campaign) start(src *core.System, cycle uint64) (*outcome, error) {
+	sys, err := src.Fork()
 	if err != nil {
 		return nil, err
 	}
+	o := c.track(sys)
+	if st := c.checkpoint(cycle); st != nil {
+		if rec := sys.Trace(); rec != nil {
+			withTrace := *st
+			withTrace.Trace = &trace.RecorderState{Limit: rec.Limit}
+			st = &withTrace
+		}
+		if err := sys.Restore(st); err != nil {
+			return nil, fmt.Errorf("faultinject: restore golden checkpoint: %w", err)
+		}
+		o.restored = true
+		c.ledger.Restored += st.Machine.Cycle
+	} else {
+		if err := sys.Boot(); err != nil {
+			return nil, fmt.Errorf("faultinject: boot: %w", err)
+		}
+		c.ledger.Booted++
+	}
+	o.base = o.m.Cycles()
+	return o, nil
+}
+
+// finish runs o to the victim's termination or the cycle limit. A failing
+// kernel run lands in outcome.runErr for classification.
+func (c *campaign) finish(o *outcome, limit uint64) {
 	o.runErr = o.k.Run(limit)
 	if o.sentinel.State() != kernel.TaskTerminated {
 		o.sentinelHeap = snapshotHeap(o.m, o.sentinel)
 	}
-	return o, nil
 }
 
 // trialKinds is the rotation a campaign cycles through, so even a short
@@ -232,11 +381,11 @@ func drawPlan(spec Spec, benchIdx, trialIdx int, goldenExit uint64) plan {
 	return p
 }
 
-// armPlan schedules the planned injection on a booted system. Region- and
-// SP-relative sites resolve at fire time (regions move under relocation; SP
-// is a flight-recorder quantity), and victim-gated kinds re-arm until the
-// victim actually holds the CPU. It returns a site report: "unfired" until
-// the injection lands, then the resolved absolute site.
+// armPlan schedules the planned injection on a booted or restored system.
+// Region- and SP-relative sites resolve at fire time (regions move under
+// relocation; SP is a flight-recorder quantity), and victim-gated kinds
+// re-arm until the victim actually holds the CPU. It returns a site report:
+// "unfired" until the injection lands, then the resolved absolute site.
 func armPlan(o *outcome, p plan) *string {
 	site := "unfired"
 	m, k, victim := o.m, o.k, o.victim
@@ -351,19 +500,34 @@ func classify(golden, trial *outcome) (verdict, detail string) {
 }
 
 // RunBenchmark runs one benchmark's full trial set: one golden reference
-// run, then Spec.Trials injected replays, each classified against the
-// golden outputs. benchIdx keys the RNG, so a benchmark's trials do not
-// depend on which other benchmarks the campaign includes.
+// run, then Spec.Trials injected runs, each classified against the golden
+// outputs. benchIdx keys the RNG, so a benchmark's trials do not depend on
+// which other benchmarks the campaign includes. The golden run keeps a
+// checkpoint every goldenEvery cycles, and each trial and forensic replay
+// forks the golden system from the newest one before its first
+// injection-dependent cycle: the runs retrace the golden run exactly up to
+// there, so the report is the same as if each had booted from cycle 0.
 func RunBenchmark(b Benchmark, spec Spec, benchIdx int) (Report, error) {
+	return runBenchmark(b, spec, benchIdx, goldenEvery)
+}
+
+// runBenchmark is RunBenchmark with the golden checkpoint spacing as a
+// parameter; every == 0 keeps no checkpoints, so every trial and replay
+// boots from cycle 0.
+func runBenchmark(b Benchmark, spec Spec, benchIdx int, every uint64) (Report, error) {
 	victimNat, err := rewriter.Rewrite(b.Program.Clone(), rewriter.Config{})
 	if err != nil {
 		return Report{}, fmt.Errorf("faultinject: rewrite %s: %w", b.Name, err)
 	}
-	sentinelNat, err := rewriter.Rewrite(SentinelProgram(), rewriter.Config{})
+	sentinel, err := sentinelNat()
 	if err != nil {
 		return Report{}, fmt.Errorf("faultinject: rewrite sentinel: %w", err)
 	}
-	golden, err := runOnce(b.Name, victimNat.Clone(), sentinelNat.Clone(), goldenLimit, nil)
+	c := newCampaign(b.Name)
+	if c.golden, err = c.newSystem(victimNat, sentinel); err != nil {
+		return Report{}, err
+	}
+	golden, err := c.recordGolden(every)
 	if err != nil {
 		return Report{}, err
 	}
@@ -382,17 +546,29 @@ func RunBenchmark(b Benchmark, spec Spec, benchIdx int) (Report, error) {
 	limit := 2*golden.exitCycle + trialSlack
 	for i := 0; i < spec.Trials; i++ {
 		p := drawPlan(spec, benchIdx, i, golden.exitCycle)
-		var site *string
-		trial, err := runOnce(b.Name, victimNat.Clone(), sentinelNat.Clone(), limit,
-			func(o *outcome) { site = armPlan(o, p) })
+		// Arm after the restore: a checkpoint holds no injector, and the
+		// plan's first fire cycle lies at or past the checkpoint's.
+		trial, err := c.start(c.golden, p.at)
 		if err != nil {
 			return Report{}, err
+		}
+		site := armPlan(trial, p)
+		c.finish(trial, limit)
+		c.release(trial)
+		end, fired := trial.m.Cycles(), trial.firedAt
+		if fired == 0 {
+			fired = end
+		}
+		c.ledger.TrialPrefix += fired - trial.base
+		c.ledger.TrialSuffix += end - fired
+		if trial.restored {
+			c.ledger.TrialLead = max(c.ledger.TrialLead, p.at-trial.base)
 		}
 		verdict, detail := classify(golden, trial)
 		rep.Verdicts[verdict]++
 		var forensic *Forensic
 		if NeedsForensic(verdict) && trial.firedAt > 0 {
-			if forensic, err = forensicReplay(b.Name, victimNat, sentinelNat, limit, p, trial.firedAt); err != nil {
+			if forensic, err = c.forensicReplay(p, trial.firedAt, limit); err != nil {
 				return Report{}, err
 			}
 		}
@@ -401,5 +577,6 @@ func RunBenchmark(b Benchmark, spec Spec, benchIdx int) (Report, error) {
 			Verdict: verdict, Detail: detail, Forensic: forensic,
 		})
 	}
+	rep.Ledger = c.ledger
 	return rep, nil
 }

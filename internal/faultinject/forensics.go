@@ -3,7 +3,7 @@ package faultinject
 import (
 	"fmt"
 
-	"repro/internal/rewriter"
+	"repro/internal/core"
 	"repro/internal/timetravel"
 	"repro/internal/trace"
 )
@@ -45,30 +45,35 @@ type Forensic struct {
 }
 
 // forensicReplay reconstructs how an escaped trial went wrong, in two
-// passes over fresh deterministic replays:
+// passes over deterministic replays forked from the golden system:
 //
 //  1. A clean and a re-injected replay run in lockstep from the recorded
 //     fire cycle until their states first differ (timetravel.FirstDivergence);
 //     the lockstep endpoints supply the PCs, symbolized stack, and
-//     register/memory deltas at the divergence boundary.
+//     register/memory deltas at the divergence boundary. The clean side
+//     restores the newest golden checkpoint at or before the fire cycle,
+//     the injected side the one at or before the plan's cycle, since a
+//     victim-gated injection's re-arm chain starts there.
 //  2. One more injected replay, this time with a trace ring attached, runs
 //     straight to the divergence cycle to recover the last trace events
-//     leading up to it.
-func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturalized,
-	limit uint64, p plan, firedAt uint64) (*Forensic, error) {
-	clean, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(), nil, nil)
+//     leading up to it (tracedReplay).
+func (c *campaign) forensicReplay(p plan, firedAt, limit uint64) (*Forensic, error) {
+	clean, err := c.start(c.golden, firedAt)
 	if err != nil {
 		return nil, err
 	}
-	trial, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(),
-		func(o *outcome) { armPlan(o, p) }, nil)
+	trial, err := c.start(c.golden, p.at)
 	if err != nil {
 		return nil, err
 	}
+	defer c.release(clean, trial)
+	armPlan(trial, p)
 	div, err := timetravel.FirstDivergence(clean.k, trial.k, firedAt, limit)
 	if err != nil {
 		return nil, fmt.Errorf("faultinject: forensic lockstep: %w", err)
 	}
+	c.ledger.LockstepPrefix += 2*firedAt - clean.base - trial.base
+	c.ledger.LockstepStepped += clean.m.Cycles() + trial.m.Cycles() - 2*firedAt
 
 	sym := trial.k.Symbolizer()
 	f := &Forensic{
@@ -98,19 +103,11 @@ func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturali
 		}
 	}
 
-	// The report needs only the tail, so the replay records into a ring one
-	// event longer than it: the extra slot holds the budget stamp dropped
-	// below.
-	rec := trace.NewLimited(forensicEvents + 1)
-	traced, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(),
-		func(o *outcome) { armPlan(o, p) }, rec)
+	traced, err := c.tracedReplay(p, div.Cycle)
 	if err != nil {
 		return nil, err
 	}
-	if err := traced.k.Run(div.Cycle); err != nil {
-		return nil, fmt.Errorf("faultinject: forensic trace replay: %w", err)
-	}
-	evs := rec.Events()
+	evs := traced.k.Cfg.Trace.Events()
 	// Drop the budget stamp of the replay's own stop — it is an artifact of
 	// halting at the divergence cycle, not part of the trial's history.
 	if n := len(evs); n > 0 && evs[n-1].Kind == trace.KindBudget {
@@ -125,6 +122,43 @@ func forensicReplay(victimName string, victimNat, sentinelNat *rewriter.Naturali
 		f.LastEvents = append(f.LastEvents, e.Format(traced.k.TaskName))
 	}
 	return f, nil
+}
+
+// tracedReplay replays the injected trial to cycle with a trace ring
+// attached. The report needs only the tail, so the ring holds one event
+// more than it: the extra slot takes the budget stamp of the replay's own
+// stop. The replay restores the injected side's golden checkpoint with the
+// ring empty; the ring then holds the same tail as a replay from boot once
+// it has filled. If it has not filled by cycle, the tail may lack events
+// from before the checkpoint, so the replay runs again from boot.
+func (c *campaign) tracedReplay(p plan, cycle uint64) (*outcome, error) {
+	if c.traced == nil {
+		tasks := c.golden.Tasks()
+		sys, err := c.newSystem(tasks[0].Nat, tasks[1].Nat, core.WithTrace(trace.NewLimited(forensicEvents+1)))
+		if err != nil {
+			return nil, err
+		}
+		c.traced = sys
+	}
+	from := p.at
+	for {
+		o, err := c.start(c.traced, from)
+		if err != nil {
+			return nil, err
+		}
+		armPlan(o, p)
+		err = o.k.Run(cycle)
+		c.release(o)
+		c.ledger.Traced += o.m.Cycles() - o.base
+		if err != nil {
+			return nil, fmt.Errorf("faultinject: forensic trace replay: %w", err)
+		}
+		if rec := o.k.Cfg.Trace; !o.restored || rec.Len() == rec.Limit {
+			return o, nil
+		}
+		from = 0 // no checkpoint is captured at cycle 0: boot
+		c.ledger.TracedBoots++
+	}
 }
 
 // NeedsForensic reports whether a verdict is non-contained and therefore

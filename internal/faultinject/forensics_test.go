@@ -5,27 +5,34 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/rewriter"
 	"repro/internal/trace"
 )
 
 // fullTraceTail is the reference for a forensic report's event tail: the
-// traced replay records every event into an unbounded trace, and tasks are
-// named from the spawn events in it. forensicReplay keeps only a ring of
-// the newest events and names tasks through the kernel; both must render
-// the same lines.
+// traced replay boots from cycle 0 and records every event into an
+// unbounded trace, and tasks are named from the spawn events in it.
+// forensicReplay restores a golden checkpoint where it can, keeps only a
+// ring of the newest events and names tasks through the kernel; both must
+// render the same lines.
 func fullTraceTail(t *testing.T, victimName string, victimNat, sentinelNat *rewriter.Naturalized,
 	p plan, cycle uint64) []string {
 	t.Helper()
-	rec := trace.New()
-	o, err := setupOnce(victimName, victimNat.Clone(), sentinelNat.Clone(),
-		func(o *outcome) { armPlan(o, p) }, rec)
+	c := newCampaign(victimName)
+	sys, err := c.newSystem(victimNat, sentinelNat, core.WithTrace(trace.New()))
 	if err != nil {
 		t.Fatal(err)
 	}
+	o, err := c.start(sys, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	armPlan(o, p)
 	if err := o.k.Run(cycle); err != nil {
 		t.Fatal(err)
 	}
+	rec := o.k.Cfg.Trace
 	evs := rec.Events()
 	if n := len(evs); n > 0 && evs[n-1].Kind == trace.KindBudget {
 		evs = evs[:n-1]

@@ -47,8 +47,9 @@ type Divergence struct {
 // FirstDivergence advances two deterministic replays in lockstep, one
 // instruction boundary at a time starting from cycle from, and reports the
 // first boundary where their states differ: clock, PC, SP, SREG, or any CPU
-// register. Both kernels must be booted and identically positioned before
-// from (the perturbation under study fires at or after it). limit bounds the
+// register. Both kernels must be booted or restored, and their runs must
+// agree up to from (the perturbation under study fires at or after it);
+// they may start from different cycles before it. limit bounds the
 // trial side's clock (0 = none). Neither kernel should have a trace recorder
 // attached — the per-boundary Run calls would flood it with budget events.
 func FirstDivergence(clean, trial *kernel.Kernel, from, limit uint64) (Divergence, error) {
