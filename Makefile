@@ -28,6 +28,9 @@
 #                       correct against bench/golden/ with no failed job
 #   make bench-golden   regenerate every workload's seed-1 result lines and
 #                       compare them byte for byte with bench/golden/
+#   make paper-golden   regenerate the paper's evaluation (-exp all) and
+#                       compare it byte for byte with
+#                       cmd/sensmart-bench/testdata/exp_all.txt
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -56,9 +59,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench faultcampaign checkpoint energy debug bench-smoke bench-golden
+.PHONY: ci build vet test cover fmt-check fuzz bench faultcampaign checkpoint energy debug bench-smoke bench-golden paper-golden
 
-ci: fmt-check vet build test cover fuzz faultcampaign checkpoint energy debug bench-smoke bench-golden
+ci: fmt-check vet build test cover fuzz faultcampaign checkpoint energy debug bench-smoke bench-golden paper-golden
 
 build:
 	$(GO) build ./...
@@ -185,3 +188,22 @@ bench-golden:
 		cmp "$$tmp/$$w.txt" bench/golden/$$w.seed1.txt; \
 		echo "bench-golden $$w: $$(wc -l < "$$tmp/$$w.txt") lines identical"; \
 	done
+
+# Paper golden. Every table and figure of the paper's evaluation (-exp all at
+# the settings EXPERIMENTS.md cites: Table I-II, Figures 4-8, the overhead
+# and hotspot tables; about 5 s) is regenerated and compared byte for byte
+# with the committed stdout, so a change that moves any paper number fails
+# here and shows the move as a diff of that file. The output does not depend
+# on -parallel. A change that means to move a number regenerates the file
+# with
+#   go run ./cmd/sensmart-bench -exp all -activations 300 -budget 40000000 \
+#       -parallel 2 -quiet > cmd/sensmart-bench/testdata/exp_all.txt
+# and says why in CHANGES.md.
+PAPER_GOLDEN_FLAGS = -exp all -activations 300 -budget 40000000 -parallel 2 -quiet
+
+paper-golden:
+	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	$(GO) build -o "$$tmp/sensmart-bench" ./cmd/sensmart-bench; \
+	"$$tmp/sensmart-bench" $(PAPER_GOLDEN_FLAGS) > "$$tmp/exp_all.txt"; \
+	cmp "$$tmp/exp_all.txt" cmd/sensmart-bench/testdata/exp_all.txt; \
+	echo "paper-golden: $$(wc -l < "$$tmp/exp_all.txt") lines identical"
