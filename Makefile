@@ -156,7 +156,7 @@ debug:
 		-out /tmp/BENCH_debug_forensics.json
 	grep -q '"forensics"' /tmp/BENCH_debug_forensics.json
 	$(GO) run ./cmd/sensmart-bench -exp compare -old /tmp/BENCH_debug_forensics.json \
-		-new /tmp/BENCH_debug_forensics.json -tolerance 5
+		-new /tmp/BENCH_debug_forensics.json
 
 # Repository-benchmark smoke. bench/ is a module of its own, so the root
 # `go test ./...` skips its tests; run them here. Then run every workload for

@@ -55,7 +55,7 @@ func BenchmarkFigure4CodeInflation(b *testing.B) {
 	var tab *experiment.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tab, err = experiment.Figure4()
+		tab, err = experiment.Runner{}.Figure4()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkFigure5ExecutionTime(b *testing.B) {
 	var tab *experiment.Table
 	var err error
 	for i := 0; i < b.N; i++ {
-		tab, err = experiment.Figure5()
+		tab, err = experiment.Runner{}.Figure5()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -97,7 +97,7 @@ func BenchmarkFigure6aPeriodicTime(b *testing.B) {
 	var points []experiment.Figure6Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiment.Figure6(fig6Sizes, 30)
+		points, err = experiment.Runner{}.Figure6(fig6Sizes, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func BenchmarkFigure6bUtilization(b *testing.B) {
 	var points []experiment.Figure6Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiment.Figure6(fig6Sizes, 30)
+		points, err = experiment.Runner{}.Figure6(fig6Sizes, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +129,7 @@ func BenchmarkFigure6cMate(b *testing.B) {
 	var points []experiment.Figure6Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiment.Figure6(fig6Sizes, 30)
+		points, err = experiment.Runner{}.Figure6(fig6Sizes, 30)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -146,7 +146,7 @@ func BenchmarkFigure7StackVersatility(b *testing.B) {
 	var points []experiment.Figure7Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiment.Figure7([]int{8, 24, 40}, 20_000_000)
+		points, err = experiment.Runner{}.Figure7([]int{8, 24, 40}, 20_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -164,7 +164,7 @@ func BenchmarkFigure8VsLiteOS(b *testing.B) {
 	var points []experiment.Figure8Point
 	var err error
 	for i := 0; i < b.N; i++ {
-		points, err = experiment.Figure8([]int{10, 30, 50}, 20_000_000)
+		points, err = experiment.Runner{}.Figure8([]int{10, 30, 50}, 20_000_000)
 		if err != nil {
 			b.Fatal(err)
 		}

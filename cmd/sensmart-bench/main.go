@@ -64,7 +64,6 @@ func run(args []string) error {
 	foldedOut := fs.String("folded", "", "with -exp hotspots: like -profile, but folded stacks for speedscope / flamegraph.pl")
 	traceOut := fs.String("trace", "", "with -exp overhead: run all seven kernel benchmarks as one traced multitask workload and write Chrome trace_event JSON here (load in ui.perfetto.dev)")
 	metrics := fs.Bool("metrics", false, "with -exp overhead: print the traced multitask workload's kernel metrics snapshot")
-	tolerance := fs.Float64("tolerance", 50, "with -exp compare: % band inside which a metric counts as unchanged (wide band: absolute wall-clock is host-dependent)")
 	seed := fs.Uint64("seed", 1, "with -exp faultcampaign: campaign seed (every trial site derives from it)")
 	trials := fs.Int("trials", 20, "with -exp faultcampaign: injected trials per benchmark")
 	prefix := fs.Uint64("prefix", 2_000_000, "with -exp warmstart: shared warm-up cycles skipped by restoring the checkpoint")
@@ -156,11 +155,7 @@ func run(args []string) error {
 			}
 			// One traced multitask run of all seven benchmarks backs both
 			// the Chrome export and the metrics snapshot.
-			var programs []*image.Program
-			for _, b := range progs.KernelBenchmarks() {
-				programs = append(programs, b.Program.Clone())
-			}
-			rec, m, err := experiment.TraceRun(4_000_000_000, programs...)
+			rec, m, err := experiment.TraceRun(4_000_000_000, suite()...)
 			if err != nil {
 				return err
 			}
@@ -198,11 +193,7 @@ func run(args []string) error {
 			}
 			// One profiled multitask run of all seven benchmarks backs the
 			// pprof and folded exports.
-			var programs []*image.Program
-			for _, b := range progs.KernelBenchmarks() {
-				programs = append(programs, b.Program.Clone())
-			}
-			prof, err := experiment.ProfileRun(4_000_000_000, programs...)
+			prof, err := experiment.ProfileRun(4_000_000_000, suite()...)
 			if err != nil {
 				return err
 			}
@@ -260,9 +251,8 @@ func run(args []string) error {
 				return err
 			}
 			fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
-			fmt.Printf("warmstart: checkpoint at cycle %d (%d bytes), %d budgets, identical=%v, cold %.2fs vs warm %.2fs (%.2fx)\n",
-				b.CheckpointAt, b.SnapshotBytes, len(b.Budgets), b.Identical,
-				float64(b.ColdWallNS)/1e9, float64(b.WarmWallNS)/1e9, b.Speedup)
+			fmt.Printf("warmstart: checkpoint at cycle %d (%d bytes), %d budgets, identical=%v\n",
+				b.CheckpointAt, b.SnapshotBytes, len(b.Budgets), b.Identical)
 			return nil
 		},
 		"energy": func() error {
@@ -286,7 +276,7 @@ func run(args []string) error {
 			if *oldPath == "" || *newPath == "" {
 				return fmt.Errorf("-exp compare needs -old and -new BENCH_*.json files")
 			}
-			tbl, regressions, err := experiment.CompareBenchFiles(*oldPath, *newPath, *tolerance)
+			tbl, regressions, err := experiment.CompareBenchFiles(*oldPath, *newPath)
 			if err != nil {
 				return err
 			}
@@ -295,9 +285,9 @@ func run(args []string) error {
 				for _, reg := range regressions {
 					fmt.Fprintln(os.Stderr, "regression:", reg)
 				}
-				return fmt.Errorf("%d metric(s) regressed beyond ±%.0f%%", len(regressions), *tolerance)
+				return fmt.Errorf("%d metric(s) regressed", len(regressions))
 			}
-			fmt.Printf("compare: ok, no metric regressed beyond ±%.0f%%\n", *tolerance)
+			fmt.Println("compare: ok, no metric regressed")
 			return nil
 		},
 	}
@@ -316,4 +306,14 @@ func run(args []string) error {
 		return fmt.Errorf("unknown experiment %q", *exp)
 	}
 	return runner()
+}
+
+// suite returns fresh copies of the seven kernel benchmark programs, the
+// multitask workload of the -trace, -metrics, -profile and -folded exports.
+func suite() []*image.Program {
+	var programs []*image.Program
+	for _, b := range progs.KernelBenchmarks() {
+		programs = append(programs, b.Program.Clone())
+	}
+	return programs
 }

@@ -34,27 +34,31 @@ func TestBenchToolCompare(t *testing.T) {
 	old := filepath.Join(dir, "old.json")
 	fresh := filepath.Join(dir, "new.json")
 	payload := &experiment.WarmstartBench{
-		BenchMeta:  experiment.NewBenchMeta("warmstart", "kernel7"),
-		Identical:  true,
-		ColdWallNS: 2_000_000_000,
-		WarmWallNS: 1_000_000_000,
-		Speedup:    2,
+		BenchMeta:     experiment.NewBenchMeta("warmstart", "kernel7"),
+		SnapshotBytes: 7719,
+		Identical:     true,
 	}
-	if _, err := experiment.WriteBenchFile(old, payload); err != nil {
-		t.Fatal(err)
+	write := func(path string) {
+		t.Helper()
+		if _, err := experiment.WriteBenchFile(path, payload); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := experiment.WriteBenchFile(fresh, payload); err != nil {
-		t.Fatal(err)
-	}
-	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh, "-tolerance", "10"}); err != nil {
+	write(old)
+	write(fresh)
+	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh}); err != nil {
 		t.Fatalf("identical files: %v", err)
 	}
-	payload.WarmWallNS = 3_300_000_000
-	if _, err := experiment.WriteBenchFile(fresh, payload); err != nil {
-		t.Fatal(err)
+	payload.SnapshotBytes++
+	write(fresh)
+	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh}); err == nil {
+		t.Fatal("one more snapshot byte did not fail the compare gate")
 	}
-	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh, "-tolerance", "10"}); err == nil {
-		t.Fatal("3.3x slower warm pass did not fail the compare gate")
+	payload.SnapshotBytes--
+	payload.Identical = false
+	write(fresh)
+	if err := run([]string{"-exp", "compare", "-old", old, "-new", fresh}); err == nil {
+		t.Fatal("an identical flip did not fail the compare gate")
 	}
 	if err := run([]string{"-exp", "compare", "-old", old}); err == nil {
 		t.Fatal("compare without -new did not error")

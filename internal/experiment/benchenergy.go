@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/baseline/fixedstack"
 	"repro/internal/baseline/mate"
-	"repro/internal/baseline/tkernel"
 	"repro/internal/energy"
 	"repro/internal/kernel"
 	"repro/internal/mcu"
@@ -56,11 +55,6 @@ const energyBaselineSize = 30_000
 
 const energyBenchLimit = 30_000_000_000
 
-// BenchEnergy runs the energy benchmark axis with the default worker pool.
-func BenchEnergy(activations int) (*EnergyBench, error) {
-	return Runner{}.BenchEnergy(activations)
-}
-
 // BenchEnergy reruns the seven kernel benchmarks under SenSmart with an
 // energy meter attached, then costs the PeriodicTask workload under every
 // baseline system on the same joules axis. All accounting is integer math on
@@ -80,14 +74,15 @@ func (r Runner) BenchEnergy(activations int) (*EnergyBench, error) {
 		func(p EnergyBenchPoint) uint64 { return p.Cycles },
 		func(i int) (EnergyBenchPoint, error) {
 			meter := new(energy.Meter)
-			run, err := runSenSmart(kernel.Config{Energy: meter}, energyBenchLimit, kbs[i].Program.Clone())
+			sys, err := runSenSmart(kernel.Config{Energy: meter}, energyBenchLimit, kbs[i].Program.Clone())
 			if err != nil {
 				return EnergyBenchPoint{}, fmt.Errorf("%s: %w", kbs[i].Name, err)
 			}
+			cycles := sys.Machine().Cycles()
 			return EnergyBenchPoint{
 				Benchmark: kbs[i].Name,
-				Cycles:    run.Cycles,
-				Breakdown: meter.Report(run.Cycles),
+				Cycles:    cycles,
+				Breakdown: meter.Report(cycles),
 			}, nil
 		}))
 	if err != nil {
@@ -134,34 +129,25 @@ func energyBaselineRow(name string, activations int) (EnergyBaselineRow, error) 
 	row := EnergyBaselineRow{Baseline: name, Activations: activations}
 	params := progs.PeriodicParams{Instructions: energyBaselineSize, Activations: activations}
 	meter := new(energy.Meter)
+	// The native, fixed-stack and t-kernel runs use this metered machine;
+	// the SenSmart run brings its own.
+	m := mcu.New()
+	m.SetEnergyMeter(meter)
 
 	switch name {
 	case "native":
-		m := mcu.New()
-		m.SetEnergyMeter(meter)
-		prog := progs.PeriodicTaskNative(params)
-		if err := m.LoadFlash(0, prog.Words); err != nil {
+		if _, err := progs.RunNativeOn(m, progs.PeriodicTaskNative(params), energyBenchLimit); err != nil {
 			return row, err
 		}
-		for i, b := range prog.DataInit {
-			m.Poke(prog.HeapBase+uint16(i), b)
-		}
-		m.SetPC(prog.Entry)
-		if err := runNativeToBreak(m); err != nil {
-			return row, err
-		}
-		row.Cycles, row.IdleCycles = m.Cycles(), m.IdleCycles()
 	case "sensmart":
-		run, err := runSenSmart(kernel.Config{Energy: meter}, energyBenchLimit, progs.PeriodicTask(params))
+		sys, err := runSenSmart(kernel.Config{Energy: meter}, energyBenchLimit, progs.PeriodicTask(params))
 		if err != nil {
 			return row, err
 		}
-		row.Cycles, row.IdleCycles = run.Cycles, run.Idle
+		m = sys.Machine()
 	case "fixed-stack":
-		m := mcu.New()
-		m.SetEnergyMeter(meter)
 		sys := fixedstack.New(m, fixedstack.Config{WorstCaseStack: 224})
-		nat, err := naturalize(progs.PeriodicTask(params), rewriter.Config{})
+		nat, err := rewriter.Rewrite(progs.PeriodicTask(params), rewriter.Config{})
 		if err != nil {
 			return row, err
 		}
@@ -177,27 +163,12 @@ func energyBaselineRow(name string, activations int) (EnergyBaselineRow, error) 
 		if !sys.K.Done() {
 			return row, fmt.Errorf("energy: fixed-stack periodic run hit the cycle limit")
 		}
-		row.Cycles, row.IdleCycles = m.Cycles(), m.IdleCycles()
 	case "t-kernel":
-		// Steady state: no Boot(), so the ~1 s on-node rewriting warm-up is
-		// excluded, as in Figure 5.
-		img, err := tkernel.Naturalize(progs.PeriodicTaskNative(params))
-		if err != nil {
+		// Steady state: the ~1 s on-node rewriting warm-up is excluded, as
+		// in Figure 5.
+		if err := runTKernel(m, progs.PeriodicTaskNative(params), false, energyBenchLimit); err != nil {
 			return row, err
 		}
-		m := mcu.New()
-		m.SetEnergyMeter(meter)
-		rt, err := tkernel.NewRuntime(m, img)
-		if err != nil {
-			return row, err
-		}
-		if err := rt.Run(energyBenchLimit); err != nil {
-			return row, err
-		}
-		if !rt.Exited() {
-			return row, fmt.Errorf("energy: t-kernel periodic run did not finish")
-		}
-		row.Cycles, row.IdleCycles = m.Cycles(), m.IdleCycles()
 	case "mate":
 		// The Maté VM is not an mcu.Machine, so its ledger is costed
 		// arithmetically from the same coefficients: interpreted cycles at
@@ -221,21 +192,10 @@ func energyBaselineRow(name string, activations int) (EnergyBaselineRow, error) 
 		return row, fmt.Errorf("energy: unknown baseline %q", name)
 	}
 
+	row.Cycles, row.IdleCycles = m.Cycles(), m.IdleCycles()
 	row.TotalPJ = meter.Report(row.Cycles).TotalPJ
 	row.PJPerActivation = row.TotalPJ / uint64(activations)
 	return row, nil
-}
-
-// runNativeToBreak runs an already-loaded machine until the program's BREAK.
-func runNativeToBreak(m *mcu.Machine) error {
-	err := m.Run(energyBenchLimit)
-	if f, ok := err.(*mcu.Fault); ok && f.Kind == mcu.FaultBreak {
-		return nil
-	}
-	if err == nil {
-		return fmt.Errorf("energy: native run hit the cycle limit")
-	}
-	return err
 }
 
 // EnergyTable renders the benchmark points and baseline rows for the CLI.

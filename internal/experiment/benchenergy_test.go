@@ -65,9 +65,10 @@ func TestEnergyMeterDoesNotPerturbRun(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bare.Cycles != metered.Cycles || bare.Idle != metered.Idle {
+		b, m := bare.Machine(), metered.Machine()
+		if b.Cycles() != m.Cycles() || b.IdleCycles() != m.IdleCycles() {
 			t.Errorf("%s: metered run took %d cycles (%d idle), bare run %d (%d idle)",
-				kb.Name, metered.Cycles, metered.Idle, bare.Cycles, bare.Idle)
+				kb.Name, m.Cycles(), m.IdleCycles(), b.Cycles(), b.IdleCycles())
 		}
 	}
 }

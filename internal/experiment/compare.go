@@ -86,21 +86,15 @@ type compareRow struct {
 	unit   string
 	old    float64
 	new    float64
-	// higherBetter orients the verdict: speedups and containment regress
-	// downward, wall-clock times and joules regress upward.
+	// higherBetter orients the verdict: identity and containment regress
+	// downward, joules and snapshot sizes regress upward.
 	higherBetter bool
 }
 
-// verdict classifies the delta against the tolerance band: moves beyond the
-// band in the bad direction regress, beyond it in the good direction
-// improve, and anything inside the band is ok.
-func (r *compareRow) verdict(tolerancePct float64) string {
-	if r.old == 0 {
-		return "n/a"
-	}
-	delta := 100 * (r.new - r.old) / r.old
-	bad := delta < -tolerancePct
-	good := delta > tolerancePct
+// verdict classifies the move exactly: any move in the bad direction
+// regresses, any move in the good direction improves.
+func (r *compareRow) verdict() string {
+	bad, good := r.new < r.old, r.new > r.old
 	if !r.higherBetter {
 		bad, good = good, bad
 	}
@@ -115,12 +109,12 @@ func (r *compareRow) verdict(tolerancePct float64) string {
 }
 
 // CompareBenchFiles diffs two BENCH_* files of the same kind, benchmark by
-// benchmark and metric by metric, rendering a delta table with a
-// tolerance-banded verdict per row. It returns the rendered table plus the
-// list of regressed rows; `sensmart-bench -exp compare` fails when that list
-// is non-empty. Host-bound metrics (warmstart's wall times) need a generous
-// tolerance; simulated ones (verdict counts, joules) are deterministic.
-func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, []string, error) {
+// benchmark and metric by metric, rendering a delta table with a verdict per
+// row. It returns the rendered table plus the list of regressed rows;
+// `sensmart-bench -exp compare` fails when that list is non-empty. Every
+// row is a simulated quantity (verdict counts, joules, identity, snapshot
+// size), deterministic on any host, so the comparison is exact.
+func CompareBenchFiles(oldPath, newPath string) (*Table, []string, error) {
 	oldF, err := loadBenchFile(oldPath)
 	if err != nil {
 		return nil, nil, err
@@ -179,9 +173,7 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 			// Forensic coverage: every non-contained trial that fired owes a
 			// forensic report. The ratio is 1.0 when coverage is complete, so
 			// a drop flags lost observability without penalizing runs whose
-			// containment improved (fewer escapes shrink both sides). Files
-			// written before forensics existed have old coverage 0, which
-			// verdict() renders as n/a instead of a regression.
+			// containment improved (fewer escapes shrink both sides).
 			oGot, oOwed := forensicCoverage(ob)
 			nGot, nOwed := forensicCoverage(nb)
 			if oOwed > 0 || nOwed > 0 {
@@ -194,13 +186,10 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 		}
 	case "warmstart":
 		o, n := oldF.warmstart, newF.warmstart
-		// Identity is pass/fail, not tolerance-banded: encode it as 0/1 so
-		// any flip out of "identical" shows as a -100% regression.
+		// Identity is pass/fail: encode it as 0/1 so any flip out of
+		// "identical" regresses.
 		rows = append(rows,
 			compareRow{"warmstart", "identical", "bool", b2f(o.Identical), b2f(n.Identical), true},
-			compareRow{"warmstart", "speedup", "x", o.Speedup, n.Speedup, true},
-			compareRow{"warmstart", "cold_wall", "s", float64(o.ColdWallNS) / 1e9, float64(n.ColdWallNS) / 1e9, false},
-			compareRow{"warmstart", "warm_wall", "s", float64(o.WarmWallNS) / 1e9, float64(n.WarmWallNS) / 1e9, false},
 			compareRow{"warmstart", "snapshot_bytes", "B", float64(o.SnapshotBytes), float64(n.SnapshotBytes), false})
 	case "energy":
 		o, n := oldF.energy, newF.energy
@@ -244,17 +233,14 @@ func CompareBenchFiles(oldPath, newPath string, tolerancePct float64) (*Table, [
 
 	t := &Table{
 		ID:     "compare",
-		Title:  fmt.Sprintf("%s: %s vs %s (tolerance ±%.0f%%)", oldF.meta.Kind, oldPath, newPath, tolerancePct),
+		Title:  fmt.Sprintf("%s: %s vs %s", oldF.meta.Kind, oldPath, newPath),
 		Header: []string{"benchmark", "metric", "old", "new", "delta", "verdict"},
 		Notes:  notes,
 	}
 	var regressions []string
 	for _, r := range rows {
-		delta := "n/a"
-		if r.old != 0 {
-			delta = fmt.Sprintf("%+.1f%%", 100*(r.new-r.old)/r.old)
-		}
-		v := r.verdict(tolerancePct)
+		delta := fmt.Sprintf("%+.2f %s", r.new-r.old, r.unit)
+		v := r.verdict()
 		if v == "regressed" {
 			regressions = append(regressions, fmt.Sprintf("%s %s: %.2f -> %.2f %s (%s)",
 				r.bench, r.metric, r.old, r.new, r.unit, delta))

@@ -4,6 +4,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/faultinject"
 )
 
 func writeFixture(t *testing.T, name string, v any) string {
@@ -18,11 +20,11 @@ func writeFixture(t *testing.T, name string, v any) string {
 func TestCompareIdenticalFilesOK(t *testing.T) {
 	for _, fixture := range []any{
 		energyFixture(5000, 900, 100, true),
-		warmstartFixture(true, 1.5, 1_000_000_000),
+		warmstartFixture(true, 7000),
 	} {
 		old := writeFixture(t, "old.json", fixture)
 		cur := writeFixture(t, "new.json", fixture)
-		tbl, regressions, err := CompareBenchFiles(old, cur, 10)
+		tbl, regressions, err := CompareBenchFiles(old, cur)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -33,7 +35,7 @@ func TestCompareIdenticalFilesOK(t *testing.T) {
 			t.Fatal("identical files produced no rows")
 		}
 		for _, row := range tbl.Rows {
-			if v := row[len(row)-1]; v != "ok" && v != "n/a" {
+			if v := row[len(row)-1]; v != "ok" {
 				t.Fatalf("identical files produced verdict %q in row %v", v, row)
 			}
 		}
@@ -42,14 +44,14 @@ func TestCompareIdenticalFilesOK(t *testing.T) {
 
 func TestCompareDetectsRegression(t *testing.T) {
 	old := writeFixture(t, "old.json", energyFixture(5000, 900, 100, true))
-	// Doubled benchmark joules, well outside a 10% band.
-	cur := writeFixture(t, "new.json", energyFixture(10000, 900, 100, true))
-	_, regressions, err := CompareBenchFiles(old, cur, 10)
+	// One more picojoule: the comparison is exact, so it regresses.
+	cur := writeFixture(t, "new.json", energyFixture(5001, 900, 100, true))
+	_, regressions, err := CompareBenchFiles(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(regressions) == 0 {
-		t.Fatal("doubled joules not flagged as a regression")
+		t.Fatal("one more picojoule not flagged as a regression")
 	}
 	found := false
 	for _, r := range regressions {
@@ -63,23 +65,45 @@ func TestCompareDetectsRegression(t *testing.T) {
 }
 
 func TestCompareDirectionAware(t *testing.T) {
-	// Wall-clock metrics regress UPWARD: a slower warm pass must be flagged
+	// Snapshot size regresses UPWARD: a larger checkpoint must be flagged
 	// even though the number grew.
-	old := writeFixture(t, "old.json", warmstartFixture(true, 1.5, 1_000_000_000))
-	cur := writeFixture(t, "new.json", warmstartFixture(true, 1.5, 2_500_000_000))
-	_, regressions, err := CompareBenchFiles(old, cur, 10)
+	old := writeFixture(t, "old.json", warmstartFixture(true, 7000))
+	cur := writeFixture(t, "new.json", warmstartFixture(true, 7008))
+	_, regressions, err := CompareBenchFiles(old, cur)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(regressions) != 1 || !strings.Contains(regressions[0], "warm_wall") {
-		t.Fatalf("2.5x slower warm_wall not flagged: %v", regressions)
+	if len(regressions) != 1 || !strings.Contains(regressions[0], "snapshot_bytes") {
+		t.Fatalf("8 more snapshot bytes not flagged: %v", regressions)
+	}
+}
+
+// A verdict absent from the old file is counted as zero there, so the first
+// breach regresses instead of reading as n/a.
+func TestCompareNewVerdictFromZero(t *testing.T) {
+	fixture := func(verdicts map[string]int) *FaultBench {
+		return &FaultBench{
+			BenchMeta:  NewBenchMeta("faultcampaign", "faultinject suite"),
+			Benchmarks: []faultinject.Report{{Benchmark: "crc", Verdicts: verdicts}},
+		}
+	}
+	old := writeFixture(t, "old.json", fixture(map[string]int{faultinject.VerdictContainedFault: 20}))
+	cur := writeFixture(t, "new.json", fixture(map[string]int{
+		faultinject.VerdictContainedFault: 19, faultinject.VerdictCrossTaskBreach: 1}))
+	_, regressions, err := CompareBenchFiles(old, cur)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(regressions) != 2 || !strings.Contains(regressions[0], faultinject.VerdictContainedFault) ||
+		!strings.Contains(regressions[1], faultinject.VerdictCrossTaskBreach) {
+		t.Fatalf("one contained trial turned breach: regressions %v", regressions)
 	}
 }
 
 func TestCompareKindMismatch(t *testing.T) {
 	old := writeFixture(t, "old.json", energyFixture(5000, 900, 100, true))
-	cur := writeFixture(t, "new.json", warmstartFixture(true, 1.5, 1_000_000_000))
-	if _, _, err := CompareBenchFiles(old, cur, 10); err == nil {
+	cur := writeFixture(t, "new.json", warmstartFixture(true, 7000))
+	if _, _, err := CompareBenchFiles(old, cur); err == nil {
 		t.Fatal("comparing energy against warmstart did not error")
 	}
 }
@@ -89,7 +113,7 @@ func TestCompareMissingBenchmarkNoted(t *testing.T) {
 	cur := energyFixture(5000, 900, 100, true)
 	cur.Benchmarks = nil // drop "lfsr"
 	curPath := writeFixture(t, "new.json", cur)
-	tbl, _, err := CompareBenchFiles(old, curPath, 10)
+	tbl, _, err := CompareBenchFiles(old, curPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +130,17 @@ func TestCompareMissingBenchmarkNoted(t *testing.T) {
 
 func TestCompareRejectsUnknownPayload(t *testing.T) {
 	path := writeFixture(t, "odd.json", map[string]int{"answer": 42})
-	if _, _, err := CompareBenchFiles(path, path, 10); err == nil {
+	if _, _, err := CompareBenchFiles(path, path); err == nil {
 		t.Fatal("unrecognized payload did not error")
 	}
 }
 
 // warmstartFixture builds a minimal warmstart payload.
-func warmstartFixture(identical bool, speedup float64, warmNS int64) *WarmstartBench {
+func warmstartFixture(identical bool, snapshotBytes int) *WarmstartBench {
 	return &WarmstartBench{
 		BenchMeta:     NewBenchMeta("warmstart", "kernel7"),
-		SnapshotBytes: 7000,
+		SnapshotBytes: snapshotBytes,
 		Identical:     identical,
-		ColdWallNS:    2_000_000_000,
-		WarmWallNS:    warmNS,
-		Speedup:       speedup,
 	}
 }
 
@@ -149,17 +170,17 @@ func TestCompareWarmstartAndEnergyKinds(t *testing.T) {
 		wantRegress string // "" = no regression expected
 	}{
 		{"warmstart identical ok",
-			warmstartFixture(true, 1.5, 1_000_000_000),
-			warmstartFixture(true, 1.5, 1_000_000_000), ""},
+			warmstartFixture(true, 7000),
+			warmstartFixture(true, 7000), ""},
 		{"warmstart identity flip regresses",
-			warmstartFixture(true, 1.5, 1_000_000_000),
-			warmstartFixture(false, 1.5, 1_000_000_000), "identical"},
-		{"warmstart slower warm pass regresses",
-			warmstartFixture(true, 1.5, 1_000_000_000),
-			warmstartFixture(true, 1.5, 5_000_000_000), "warm_wall"},
-		{"warmstart faster warm pass is not a regression",
-			warmstartFixture(true, 1.5, 1_000_000_000),
-			warmstartFixture(true, 3.5, 400_000_000), ""},
+			warmstartFixture(true, 7000),
+			warmstartFixture(false, 7000), "identical"},
+		{"warmstart larger snapshot regresses",
+			warmstartFixture(true, 7000),
+			warmstartFixture(true, 7001), "snapshot_bytes"},
+		{"warmstart smaller snapshot is not a regression",
+			warmstartFixture(true, 7000),
+			warmstartFixture(true, 6000), ""},
 		{"energy identical ok",
 			energyFixture(5000, 900, 100, true),
 			energyFixture(5000, 900, 100, true), ""},
@@ -180,7 +201,7 @@ func TestCompareWarmstartAndEnergyKinds(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			old := writeFixture(t, "old.json", tc.old)
 			cur := writeFixture(t, "new.json", tc.new)
-			_, regressions, err := CompareBenchFiles(old, cur, 10)
+			_, regressions, err := CompareBenchFiles(old, cur)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +230,7 @@ func TestCompareEnergyMissingBaselineNoted(t *testing.T) {
 	cur.Baselines = cur.Baselines[:1] // drop "t-kernel"
 	oldPath := writeFixture(t, "old.json", old)
 	curPath := writeFixture(t, "new.json", cur)
-	tbl, _, err := CompareBenchFiles(oldPath, curPath, 10)
+	tbl, _, err := CompareBenchFiles(oldPath, curPath)
 	if err != nil {
 		t.Fatal(err)
 	}

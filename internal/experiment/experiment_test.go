@@ -76,7 +76,7 @@ func TestTable2Measured(t *testing.T) {
 }
 
 func TestFigure4Shapes(t *testing.T) {
-	tab, err := Figure4()
+	tab, err := Runner{}.Figure4()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestFigure4Shapes(t *testing.T) {
 }
 
 func TestFigure5Shapes(t *testing.T) {
-	tab, err := Figure5()
+	tab, err := Runner{}.Figure5()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestFigure6Shapes(t *testing.T) {
 		t.Skip("long sweep")
 	}
 	sizes := []int{10_000, 40_000, 70_000, 100_000}
-	points, err := Figure6(sizes, 40)
+	points, err := Runner{}.Figure6(sizes, 40)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,7 +177,7 @@ func TestFigure7Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sweep")
 	}
-	points, err := Figure7([]int{8, 24, 40}, 20_000_000)
+	points, err := Runner{}.Figure7([]int{8, 24, 40}, 20_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFigure8Shapes(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long sweep")
 	}
-	points, err := Figure8([]int{10, 30, 50}, 20_000_000)
+	points, err := Runner{}.Figure8([]int{10, 30, 50}, 20_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}

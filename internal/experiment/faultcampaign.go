@@ -7,10 +7,11 @@ import (
 )
 
 // FaultBench is the BENCH_faultcampaign.json payload: per-benchmark verdict
-// counts from the adversarial fault-injection campaign. Unlike the timing
-// payloads, every field is a pure function of (seed, trials), so two files
-// from the same source tree must be byte-identical at any worker count —
-// the determinism tests and the `-exp compare` gate both rely on it.
+// counts from the adversarial fault-injection campaign. Every field outside
+// the BenchMeta host header is a pure function of (seed, trials), so two
+// files from the same source tree on one host must be byte-identical at any
+// worker count — the determinism tests and the `-exp compare` gate both rely
+// on it.
 type FaultBench struct {
 	BenchMeta
 	Seed       uint64               `json:"seed"`

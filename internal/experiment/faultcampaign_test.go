@@ -90,7 +90,7 @@ func TestCompareFaultCampaignFiles(t *testing.T) {
 	if _, err := WriteBenchFile(newPath, b); err != nil {
 		t.Fatal(err)
 	}
-	tbl, regressions, err := CompareBenchFiles(oldPath, newPath, 10)
+	tbl, regressions, err := CompareBenchFiles(oldPath, newPath)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,12 @@ import (
 	"repro/internal/baseline/fixedstack"
 	"repro/internal/baseline/mate"
 	"repro/internal/baseline/tkernel"
+	"repro/internal/image"
 	"repro/internal/kernel"
 	"repro/internal/mcu"
 	"repro/internal/progs"
 	"repro/internal/rewriter"
 )
-
-// Figure4 reproduces the code-inflation comparison with the default worker
-// pool. See Runner.Figure4.
-func Figure4() (*Table, error) { return Runner{}.Figure4() }
 
 // Figure4 reproduces the code-inflation comparison: for each of the seven
 // kernel benchmarks, the native size and the naturalized sizes under
@@ -65,10 +62,6 @@ func figure4Row(kb progs.KernelBenchmark) ([]string, error) {
 	}, nil
 }
 
-// Figure5 reproduces the execution-time comparison with the default worker
-// pool. See Runner.Figure5.
-func Figure5() (*Table, error) { return Runner{}.Figure5() }
-
 // Figure5 reproduces the execution-time comparison of the seven kernel
 // benchmarks: native, SenSmart (with the memory-protection share of its
 // overhead broken out), and the t-kernel (steady state, warm-up excluded as
@@ -98,18 +91,18 @@ func (r Runner) Figure5() (*Table, error) {
 // figure5Row runs one benchmark natively, under SenSmart, and under the
 // t-kernel, each on a machine of its own.
 func figure5Row(kb progs.KernelBenchmark) ([]string, error) {
-	nativeCycles, _, err := runNativeCycles(kb.Program.Clone(), 2_000_000_000)
+	native, err := progs.RunNative(kb.Program.Clone(), 2_000_000_000)
 	if err != nil {
 		return nil, err
 	}
-	run, err := runSenSmart(kernel.Config{}, 4_000_000_000, kb.Program.Clone())
+	sys, err := runSenSmart(kernel.Config{}, 4_000_000_000, kb.Program.Clone())
 	if err != nil {
 		return nil, err
 	}
 	// Split the SenSmart overhead: memory protection (address
 	// translation and SP services) versus everything else.
 	memProt := uint64(0)
-	for i, n := range run.K.Stats.ServiceCalls {
+	for i, n := range sys.Kernel().Stats.ServiceCalls {
 		switch rewriter.Class(i) {
 		case rewriter.ClassDirectIO:
 			memProt += n * kernel.CostDirectIO
@@ -125,29 +118,19 @@ func figure5Row(kb progs.KernelBenchmark) ([]string, error) {
 			memProt += n * kernel.CostProgMem
 		}
 	}
-	tkImg, err := tkernel.Naturalize(kb.Program)
-	if err != nil {
+	tk := mcu.New()
+	if err := runTKernel(tk, kb.Program, false, 4_000_000_000); err != nil {
 		return nil, err
 	}
-	m := mcu.New()
-	rt, err := tkernel.NewRuntime(m, tkImg)
-	if err != nil {
-		return nil, err
-	}
-	if err := rt.Run(4_000_000_000); err != nil {
-		return nil, err
-	}
-	if !rt.Exited() {
-		return nil, fmt.Errorf("experiment: t-kernel run of %s did not finish", kb.Name)
-	}
+	nativeCycles, smartCycles, tkCycles := native.Cycles, sys.Machine().Cycles(), tk.Cycles()
 	return []string{
 		kb.Name,
 		seconds(nativeCycles),
 		seconds(nativeCycles + memProt),
-		seconds(run.Cycles),
-		seconds(m.Cycles()),
-		fmt.Sprintf("%.2fx", float64(run.Cycles)/float64(nativeCycles)),
-		fmt.Sprintf("%.2fx", float64(m.Cycles())/float64(nativeCycles)),
+		seconds(smartCycles),
+		seconds(tkCycles),
+		fmt.Sprintf("%.2fx", float64(smartCycles)/float64(nativeCycles)),
+		fmt.Sprintf("%.2fx", float64(tkCycles)/float64(nativeCycles)),
 	}, nil
 }
 
@@ -161,12 +144,6 @@ type Figure6Point struct {
 	TKernelCycles  uint64 // includes the warm-up rewriting delay
 	TKernelUtil    float64
 	MateCycles     uint64
-}
-
-// Figure6 sweeps the PeriodicTask computation size with the default worker
-// pool. See Runner.Figure6.
-func Figure6(sizes []int, activations int) ([]Figure6Point, error) {
-	return Runner{}.Figure6(sizes, activations)
 }
 
 // Figure6 sweeps the PeriodicTask computation size and measures execution
@@ -193,39 +170,27 @@ func figure6Point(size, activations int) (Figure6Point, error) {
 	params := progs.PeriodicParams{Instructions: size, Activations: activations}
 
 	nativeProg := progs.PeriodicTaskNative(params)
-	cycles, idle, err := runNativeCycles(nativeProg, 30_000_000_000)
+	native, err := progs.RunNative(nativeProg, 30_000_000_000)
 	if err != nil {
 		return pt, err
 	}
-	pt.NativeCycles = cycles
-	pt.NativeUtil = 1 - float64(idle)/float64(cycles)
+	pt.NativeCycles = native.Cycles
+	pt.NativeUtil = util(native.Machine)
 
-	smartProg := progs.PeriodicTask(params)
-	run, err := runSenSmart(kernel.Config{}, 30_000_000_000, smartProg)
+	sys, err := runSenSmart(kernel.Config{}, 30_000_000_000, progs.PeriodicTask(params))
 	if err != nil {
 		return pt, err
 	}
-	pt.SenSmartCycles = run.Cycles
-	pt.SenSmartUtil = 1 - float64(run.Idle)/float64(run.Cycles)
+	pt.SenSmartCycles = sys.Machine().Cycles()
+	pt.SenSmartUtil = util(sys.Machine())
 
-	tkImg, err := tkernel.Naturalize(nativeProg)
-	if err != nil {
+	tk := mcu.New()
+	// Figure 6a includes the ~1 s warm-up.
+	if err := runTKernel(tk, nativeProg, true, 30_000_000_000); err != nil {
 		return pt, err
 	}
-	m := mcu.New()
-	rt, err := tkernel.NewRuntime(m, tkImg)
-	if err != nil {
-		return pt, err
-	}
-	rt.Boot() // Figure 6a includes the ~1 s warm-up
-	if err := rt.Run(30_000_000_000); err != nil {
-		return pt, err
-	}
-	if !rt.Exited() {
-		return pt, fmt.Errorf("experiment: t-kernel periodic run (%d) did not finish", size)
-	}
-	pt.TKernelCycles = m.Cycles()
-	pt.TKernelUtil = 1 - float64(m.IdleCycles())/float64(m.Cycles())
+	pt.TKernelCycles = tk.Cycles()
+	pt.TKernelUtil = util(tk)
 
 	code, err := mate.PeriodicProgram(size, activations, params.PeriodTicks)
 	if err != nil {
@@ -237,6 +202,11 @@ func figure6Point(size, activations int) (Figure6Point, error) {
 	}
 	pt.MateCycles = vm.Cycles
 	return pt, nil
+}
+
+// util is the share of m's cycles spent awake.
+func util(m *mcu.Machine) float64 {
+	return 1 - float64(m.IdleCycles())/float64(m.Cycles())
 }
 
 // Figure6Table renders the sweep in the layout of Figures 6(a)-(c).
@@ -276,12 +246,6 @@ type Figure7Point struct {
 	Terminations   int
 }
 
-// Figure7 runs the stack-versatility workload with the default worker pool.
-// See Runner.Figure7.
-func Figure7(nodesPerTree []int, budgetCycles uint64) ([]Figure7Point, error) {
-	return Runner{}.Figure7(nodesPerTree, budgetCycles)
-}
-
 // Figure7 runs the sense-and-send binary-tree workload: as many search
 // tasks as admission allows, measured after a fixed simulated duration.
 func (r Runner) Figure7(nodesPerTree []int, budgetCycles uint64) ([]Figure7Point, error) {
@@ -301,35 +265,18 @@ func (r Runner) Figure7(nodesPerTree []int, budgetCycles uint64) ([]Figure7Point
 // figure7Point fills one node with tree-search tasks and measures survival.
 func figure7Point(n int, budgetCycles uint64) (Figure7Point, error) {
 	pt := Figure7Point{NodesPerTree: n}
-	m := mcu.New()
-	k := kernel.New(m, kernel.Config{InitialStack: 64})
-	for i := 0; ; i++ {
-		prog, err := progs.TreeSearch(progs.TreeSearchParams{
+	sys, err := fillNode(kernel.Config{InitialStack: 64}, budgetCycles, func(i int) (*image.Program, error) {
+		return progs.TreeSearch(progs.TreeSearchParams{
 			Trees:        6,
 			NodesPerTree: n,
 			Seed:         uint16(0xACE1 + 73*i),
 		})
-		if err != nil {
-			return pt, err
-		}
-		nat, err := rewriter.Rewrite(prog, rewriter.Config{})
-		if err != nil {
-			return pt, err
-		}
-		if _, err := k.AddTask(fmt.Sprintf("search%d", i), nat); err != nil {
-			break
-		}
-		pt.AdmittedTasks++
-	}
-	if pt.AdmittedTasks == 0 {
-		return pt, nil
-	}
-	if err := k.Boot(); err != nil {
+	})
+	if err != nil {
 		return pt, err
 	}
-	if err := k.Run(budgetCycles); err != nil {
-		return pt, err
-	}
+	k := sys.Kernel()
+	pt.AdmittedTasks = len(k.Tasks)
 	var allocSum uint64
 	for _, task := range k.Tasks {
 		if task.State() != kernel.TaskTerminated {
@@ -380,12 +327,6 @@ type Figure8Point struct {
 	FixedTasks    int
 }
 
-// Figure8 runs the fixed-stack comparison with the default worker pool. See
-// Runner.Figure8.
-func Figure8(nodesPerTree []int, budgetCycles uint64) ([]Figure8Point, error) {
-	return Runner{}.Figure8(nodesPerTree, budgetCycles)
-}
-
 // Figure8 grants SenSmart the same application memory the LiteOS-like
 // baseline has (which loses 2 KB to kernel static data) and compares how
 // many two-tree search tasks each can schedule.
@@ -425,36 +366,18 @@ func figure8Point(n int, budgetCycles uint64) (Figure8Point, error) {
 	}, nat)
 
 	// SenSmart with the same memory: admit, run, count survivors.
-	m := mcu.New()
-	k := kernel.New(m, kernel.Config{AppLimit: liteArea, InitialStack: 64})
-	admitted := 0
-	for i := 0; ; i++ {
-		p2, err := progs.TreeSearch(progs.TreeSearchParams{
+	cfg := kernel.Config{AppLimit: liteArea, InitialStack: 64}
+	sys, err := fillNode(cfg, budgetCycles, func(i int) (*image.Program, error) {
+		return progs.TreeSearch(progs.TreeSearchParams{
 			Trees: 2, NodesPerTree: n, Seed: uint16(0xACE1 + 131*i),
 		})
-		if err != nil {
-			return pt, err
-		}
-		nat2, err := rewriter.Rewrite(p2, rewriter.Config{})
-		if err != nil {
-			return pt, err
-		}
-		if _, err := k.AddTask(fmt.Sprintf("s%d", i), nat2); err != nil {
-			break
-		}
-		admitted++
+	})
+	if err != nil {
+		return pt, err
 	}
-	if admitted > 0 {
-		if err := k.Boot(); err != nil {
-			return pt, err
-		}
-		if err := k.Run(budgetCycles); err != nil {
-			return pt, err
-		}
-		for _, task := range k.Tasks {
-			if task.State() != kernel.TaskTerminated {
-				pt.SenSmartTasks++
-			}
+	for _, task := range sys.Kernel().Tasks {
+		if task.State() != kernel.TaskTerminated {
+			pt.SenSmartTasks++
 		}
 	}
 	return pt, nil

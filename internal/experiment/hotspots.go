@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/kernel"
 	"repro/internal/profile"
@@ -22,41 +23,42 @@ type hotspotPoint struct {
 // machine executed, per task and per service class. This is the same
 // invariant TestProfilerMatchesKernelLedger pins, enforced on every -exp
 // hotspots run so a drifting hook can't quietly produce a plausible table.
-func verifyProfileLedger(name string, prof *profile.Profiler, run *senSmartRun) error {
-	if got, want := prof.TotalCycles(), run.Cycles; got != want {
-		return fmt.Errorf("%s: profiler attributed %d cycles, machine ran %d", name, got, want)
+func verifyProfileLedger(prof *profile.Profiler, sys *core.System) error {
+	if got, want := prof.TotalCycles(), sys.Machine().Cycles(); got != want {
+		return fmt.Errorf("profiler attributed %d cycles, machine ran %d", got, want)
 	}
-	m := run.K.Metrics()
+	m := sys.Metrics()
 	for _, tm := range m.Tasks {
 		if got, want := prof.TaskTotal(int32(tm.ID)), tm.RunCycles; got != want {
-			return fmt.Errorf("%s: task %s profiled at %d cycles, ledger says %d", name, tm.Name, got, want)
+			return fmt.Errorf("task %s profiled at %d cycles, ledger says %d", tm.Name, got, want)
 		}
 	}
 	var svc uint64
 	for class := rewriter.Class(1); class < 16; class++ {
-		if got, want := prof.ServiceOverhead(class), run.K.Stats.ServiceOverhead[class]; got != want {
-			return fmt.Errorf("%s: kernel.%v frames total %d cycles, ledger charged %d", name, class, got, want)
+		if got, want := prof.ServiceOverhead(class), sys.Kernel().Stats.ServiceOverhead[class]; got != want {
+			return fmt.Errorf("kernel.%v frames total %d cycles, ledger charged %d", class, got, want)
 		}
 		svc += prof.ServiceOverhead(class)
 	}
 	if svc != m.ServiceOverheadCycles {
-		return fmt.Errorf("%s: kernel service frames sum to %d, ServiceOverheadCycles is %d",
-			name, svc, m.ServiceOverheadCycles)
+		return fmt.Errorf("kernel service frames sum to %d, ServiceOverheadCycles is %d",
+			svc, m.ServiceOverheadCycles)
 	}
 	return nil
 }
 
-// ProfileRun boots one profiled kernel with one task per program, runs to
-// completion (or the cycle limit), reconciles the profiler against the
-// kernel cycle ledger, and returns the profiler — the backing for the
-// -profile/-folded exports of sensmart-bench.
+// ProfileRun boots one profiled SenSmart node with one task per program,
+// runs it to completion (hitting limit first is an error), reconciles the
+// profiler against the kernel cycle ledger, and returns the profiler — one
+// Hotspots point, and the backing for the -profile/-folded exports of
+// sensmart-bench.
 func ProfileRun(limit uint64, programs ...*image.Program) (*profile.Profiler, error) {
 	prof := profile.New(profile.Options{})
-	run, err := runSenSmart(kernel.Config{Profile: prof}, limit, programs...)
+	sys, err := runSenSmart(kernel.Config{Profile: prof}, limit, programs...)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyProfileLedger("multitask", prof, run); err != nil {
+	if err := verifyProfileLedger(prof, sys); err != nil {
 		return nil, err
 	}
 	return prof, nil
@@ -75,13 +77,9 @@ func (r Runner) Hotspots(topK int) (*Table, error) {
 	points, err := runPoints(r.workers(), len(benches), runProgress(r, "hotspots", len(benches),
 		func(p hotspotPoint) uint64 { return p.prof.TotalCycles() },
 		func(i int) (hotspotPoint, error) {
-			prof := profile.New(profile.Options{})
-			run, err := runSenSmart(kernel.Config{Profile: prof}, 4_000_000_000, benches[i].Program.Clone())
+			prof, err := ProfileRun(4_000_000_000, benches[i].Program.Clone())
 			if err != nil {
 				return hotspotPoint{}, fmt.Errorf("%s: %w", benches[i].Name, err)
-			}
-			if err := verifyProfileLedger(benches[i].Name, prof, run); err != nil {
-				return hotspotPoint{}, err
 			}
 			return hotspotPoint{name: benches[i].Name, prof: prof, top: prof.Top(topK)}, nil
 		}))

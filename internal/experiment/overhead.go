@@ -28,16 +28,11 @@ func (r Runner) KernelOverhead() (*Table, error) {
 	points, err := runPoints(r.workers(), len(benches), runProgress(r, "overhead", len(benches),
 		func(p overheadPoint) uint64 { return p.metrics.TotalCycles },
 		func(i int) (overheadPoint, error) {
-			rec := trace.New()
-			cfg := kernel.Config{Trace: rec}
-			run, err := runSenSmart(cfg, 4_000_000_000, benches[i].Program.Clone())
+			_, m, err := TraceRun(4_000_000_000, benches[i].Program.Clone())
 			if err != nil {
 				return overheadPoint{}, fmt.Errorf("%s: %w", benches[i].Name, err)
 			}
-			if err := ReconcileTrapCycles(rec.Events(), &run.K.Stats, run.K.Symbolizer().Name); err != nil {
-				return overheadPoint{}, fmt.Errorf("%s: %w", benches[i].Name, err)
-			}
-			return overheadPoint{name: benches[i].Name, metrics: run.K.Metrics()}, nil
+			return overheadPoint{name: benches[i].Name, metrics: m}, nil
 		}))
 	if err != nil {
 		return nil, err
@@ -76,19 +71,22 @@ func (r Runner) KernelOverhead() (*Table, error) {
 	return tbl, nil
 }
 
-// TraceRun boots one traced kernel with one task per program, runs to
-// completion (or the cycle limit), and returns the recorder plus the metrics
-// snapshot — the backing for the -trace/-metrics flags of sensmart-bench.
+// TraceRun boots one traced SenSmart node with one task per program, runs
+// it to completion (hitting limit first is an error), reconciles the trap
+// windows against the kernel's cycle ledger, and returns the recorder plus
+// the metrics snapshot — one KernelOverhead point, and the backing for the
+// -trace/-metrics flags of sensmart-bench.
 func TraceRun(limit uint64, programs ...*image.Program) (*trace.Recorder, *trace.Metrics, error) {
 	rec := trace.New()
-	run, err := runSenSmart(kernel.Config{Trace: rec}, limit, programs...)
+	sys, err := runSenSmart(kernel.Config{Trace: rec}, limit, programs...)
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := ReconcileTrapCycles(rec.Events(), &run.K.Stats, run.K.Symbolizer().Name); err != nil {
+	k := sys.Kernel()
+	if err := ReconcileTrapCycles(rec.Events(), &k.Stats, k.Symbolizer().Name); err != nil {
 		return nil, nil, err
 	}
-	return rec, run.K.Metrics(), nil
+	return rec, sys.Metrics(), nil
 }
 
 // ReconcileTrapCycles checks the designed cycle-decomposition invariant over

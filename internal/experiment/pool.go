@@ -11,9 +11,10 @@ import (
 
 // Runner executes the evaluation harnesses with a configurable worker pool.
 // Every sweep point (benchmark kernel, computation size, tree size) builds
-// its own mcu.Machine and kernel.Kernel, so points are independent and can
-// run on any worker; results are merged in sweep order, which makes the
-// output byte-identical to a serial run regardless of worker count.
+// its own nodes — a core.System for SenSmart, a bare mcu.Machine for the
+// native and t-kernel runs — so points are independent and can run on any
+// worker; results are merged in sweep order, which makes the output
+// byte-identical to a serial run regardless of worker count.
 type Runner struct {
 	// Concurrency is the number of workers a sweep fans out to.
 	// 0 selects runtime.GOMAXPROCS(0); 1 forces the serial path.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/kernel"
 	"repro/internal/profile"
 	"repro/internal/progs"
@@ -15,14 +16,14 @@ import (
 
 // runProfiled boots one profiled kernel over the benchmark and runs it to
 // completion.
-func runProfiled(t *testing.T, kb progs.KernelBenchmark, opts profile.Options) (*profile.Profiler, *senSmartRun) {
+func runProfiled(t *testing.T, kb progs.KernelBenchmark, opts profile.Options) (*profile.Profiler, *core.System) {
 	t.Helper()
 	prof := profile.New(opts)
-	run, err := runSenSmart(kernel.Config{Profile: prof}, 4_000_000_000, kb.Program.Clone())
+	sys, err := runSenSmart(kernel.Config{Profile: prof}, 4_000_000_000, kb.Program.Clone())
 	if err != nil {
 		t.Fatalf("%s: %v", kb.Name, err)
 	}
-	return prof, run
+	return prof, sys
 }
 
 // TestProfilerMatchesKernelLedger is the identity check of the profiler: for
@@ -33,11 +34,11 @@ func TestProfilerMatchesKernelLedger(t *testing.T) {
 	for _, kb := range progs.KernelBenchmarks() {
 		kb := kb
 		t.Run(kb.Name, func(t *testing.T) {
-			prof, run := runProfiled(t, kb, profile.Options{})
-			if got, want := prof.TotalCycles(), run.Cycles; got != want {
+			prof, sys := runProfiled(t, kb, profile.Options{})
+			if got, want := prof.TotalCycles(), sys.Machine().Cycles(); got != want {
 				t.Errorf("TotalCycles = %d, machine ran %d", got, want)
 			}
-			m := run.K.Metrics()
+			m := sys.Metrics()
 			for _, tm := range m.Tasks {
 				if got, want := prof.TaskTotal(int32(tm.ID)), tm.RunCycles; got != want {
 					t.Errorf("task %s: profiler total %d, ledger RunCycles %d", tm.Name, got, want)
@@ -46,7 +47,7 @@ func TestProfilerMatchesKernelLedger(t *testing.T) {
 			var svcSum uint64
 			for class := rewriter.Class(1); class < 16; class++ {
 				got := prof.ServiceOverhead(class)
-				want := run.K.Stats.ServiceOverhead[class]
+				want := sys.Kernel().Stats.ServiceOverhead[class]
 				if got != want {
 					t.Errorf("class %v: profiler overhead %d, ledger %d", class, got, want)
 				}

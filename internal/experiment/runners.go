@@ -3,121 +3,84 @@ package experiment
 import (
 	"errors"
 	"fmt"
-	"slices"
-	"sync"
 
+	"repro/internal/baseline/tkernel"
+	"repro/internal/core"
 	"repro/internal/image"
 	"repro/internal/kernel"
 	"repro/internal/mcu"
-	"repro/internal/rewriter"
 )
 
-// natCacheKey identifies one rewrite: sweeps re-naturalize the same assembled
-// program under the same rewriter configuration at every point, so the
-// (name, config) pair is the natural memoization key.
-type natCacheKey struct {
-	name string
-	cfg  rewriter.Config
-}
-
-// natCacheCap bounds the rewrite cache. Sweeps use a handful of programs and
-// at most a few rewriter configurations, so 64 entries is generous; if an
-// unusual caller exceeds it we simply rewrite without caching rather than
-// grow without bound.
-const natCacheCap = 64
-
-var natCache = struct {
-	mu sync.Mutex
-	m  map[natCacheKey]*rewriter.Naturalized
-}{m: make(map[natCacheKey]*rewriter.Naturalized)}
-
-// sameProgram reports whether p matches the program a cached rewrite was
-// built from. Program names are not globally unique (workload sizes vary
-// across experiments), so a hit is only trusted after comparing content.
-func sameProgram(a, b *image.Program) bool {
-	return a.Entry == b.Entry &&
-		a.HeapBase == b.HeapBase &&
-		a.HeapSize == b.HeapSize &&
-		a.StackReserve == b.StackReserve &&
-		slices.Equal(a.Words, b.Words) &&
-		slices.Equal(a.DataInit, b.DataInit)
-}
-
-// naturalize is a memoizing rewriter.Rewrite: the first call for a given
-// (program, config) pays for the rewrite, later calls hand out independent
-// clones. Rewriting is deterministic, so a clone of a cached result is
-// indistinguishable from a fresh rewrite.
-func naturalize(p *image.Program, cfg rewriter.Config) (*rewriter.Naturalized, error) {
-	key := natCacheKey{name: p.Name, cfg: cfg}
-	natCache.mu.Lock()
-	cached, ok := natCache.m[key]
-	natCache.mu.Unlock()
-	if ok && sameProgram(p, cached.Orig) {
-		return cached.Clone(), nil
+// runSenSmart deploys one task per program on a fresh SenSmart node built
+// with cfg, boots it, and runs until every task exits. Hitting limit first
+// is an error.
+func runSenSmart(cfg kernel.Config, limit uint64, programs ...*image.Program) (*core.System, error) {
+	sys := core.NewSystem(core.WithKernelConfig(cfg))
+	for _, p := range programs {
+		if _, err := sys.Deploy(p); err != nil {
+			return nil, fmt.Errorf("deploy %s: %w", p.Name, err)
+		}
 	}
-	nat, err := rewriter.Rewrite(p, cfg)
-	if err != nil {
+	if err := sys.Boot(); err != nil {
 		return nil, err
 	}
-	natCache.mu.Lock()
-	if len(natCache.m) < natCacheCap || ok {
-		natCache.m[key] = nat.Clone()
+	if err := sys.Run(limit); err != nil {
+		return nil, err
 	}
-	natCache.mu.Unlock()
-	return nat, nil
+	if !sys.Done() {
+		return nil, fmt.Errorf("experiment: %d-cycle limit hit before completion", limit)
+	}
+	return sys, nil
 }
 
-// senSmartRun is the outcome of running programs to completion under the
-// SenSmart kernel.
-type senSmartRun struct {
-	K      *kernel.Kernel
-	Cycles uint64
-	Idle   uint64
-}
-
-// runSenSmart naturalizes the programs, boots a kernel with one task per
-// program, and runs until all tasks exit (or the cycle limit).
-func runSenSmart(cfg kernel.Config, limit uint64, programs ...*image.Program) (*senSmartRun, error) {
-	m := mcu.New()
-	k := kernel.New(m, cfg)
-	for i, p := range programs {
-		nat, err := naturalize(p, rewriter.Config{})
+// fillNode deploys prog(0), prog(1), ... on a fresh SenSmart node built with
+// cfg until the kernel refuses one with kernel.ErrNoMemory, then boots the
+// node and runs it for budget cycles (it stays unbooted when nothing fit).
+// Every other error, from building, rewriting or admitting a program, is
+// returned, so a failure never reads as "memory full".
+func fillNode(cfg kernel.Config, budget uint64, prog func(i int) (*image.Program, error)) (*core.System, error) {
+	sys := core.NewSystem(core.WithKernelConfig(cfg))
+	for i := 0; ; i++ {
+		p, err := prog(i)
 		if err != nil {
 			return nil, err
 		}
-		if _, err := k.AddTask(fmt.Sprintf("%s#%d", p.Name, i), nat); err != nil {
-			return nil, err
+		if _, err := sys.Deploy(p); errors.Is(err, kernel.ErrNoMemory) {
+			break
+		} else if err != nil {
+			return nil, fmt.Errorf("deploy %s: %w", p.Name, err)
 		}
 	}
-	if err := k.Boot(); err != nil {
+	if len(sys.Tasks()) == 0 {
+		return sys, nil
+	}
+	if err := sys.Boot(); err != nil {
 		return nil, err
 	}
-	if err := k.Run(limit); err != nil {
-		return nil, err
-	}
-	if !k.Done() {
-		return nil, fmt.Errorf("experiment: %d-cycle limit hit before completion", limit)
-	}
-	return &senSmartRun{K: k, Cycles: m.Cycles(), Idle: m.IdleCycles()}, nil
+	return sys, sys.Run(budget)
 }
 
-// runNativeCycles executes a program bare-metal and returns its cycle count.
-func runNativeCycles(p *image.Program, limit uint64) (uint64, uint64, error) {
-	m := mcu.New()
-	if err := m.LoadFlash(0, p.Words); err != nil {
-		return 0, 0, err
+// runTKernel naturalizes prog for the t-kernel baseline, loads it on m and
+// runs it until it exits. With warmup the one-time on-node rewriting delay
+// is charged first (Figure 6a); without it the run is the steady state of
+// Figure 5.
+func runTKernel(m *mcu.Machine, prog *image.Program, warmup bool, limit uint64) error {
+	img, err := tkernel.Naturalize(prog)
+	if err != nil {
+		return err
 	}
-	for i, b := range p.DataInit {
-		m.Poke(p.HeapBase+uint16(i), b)
+	rt, err := tkernel.NewRuntime(m, img)
+	if err != nil {
+		return err
 	}
-	m.SetPC(p.Entry)
-	err := m.Run(limit)
-	var f *mcu.Fault
-	if errors.As(err, &f) && f.Kind == mcu.FaultBreak {
-		return m.Cycles(), m.IdleCycles(), nil
+	if warmup {
+		rt.Boot()
 	}
-	if err == nil {
-		return 0, 0, fmt.Errorf("experiment: native run of %s hit the cycle limit", p.Name)
+	if err := rt.Run(limit); err != nil {
+		return err
 	}
-	return 0, 0, err
+	if !rt.Exited() {
+		return fmt.Errorf("experiment: t-kernel run of %s did not finish", prog.Name)
+	}
+	return nil
 }

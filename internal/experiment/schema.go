@@ -12,8 +12,9 @@ import (
 const BenchSchemaVersion = 1
 
 // BenchMeta is the common header every BENCH_*.json payload embeds: schema
-// version, which benchmark kind and set the file records, and enough host
-// context to interpret absolute wall-clock numbers.
+// version, which benchmark kind and set the file records, and the host that
+// wrote it. The host fields are provenance only: every payload field is a
+// simulated quantity, the same on any host.
 type BenchMeta struct {
 	SchemaVersion int `json:"schema_version"`
 	// Kind names the payload shape: "faultcampaign", "warmstart" or

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/avr/asm"
 	"repro/internal/kernel"
+	"repro/internal/progs"
 )
 
 // probe measures the per-repetition cycle cost of an instruction sequence
@@ -43,14 +44,14 @@ func (p probe) measure() (int64, error) {
 			return 0, err
 		}
 		if native {
-			c, _, err := runNativeCycles(prog, 50_000_000)
-			return c, err
+			res, err := progs.RunNative(prog, 50_000_000)
+			return res.Cycles, err
 		}
-		run, err := runSenSmart(kernel.Config{}, 50_000_000, prog)
+		sys, err := runSenSmart(kernel.Config{}, 50_000_000, prog)
 		if err != nil {
 			return 0, err
 		}
-		return run.Cycles, nil
+		return sys.Machine().Cycles(), nil
 	}
 	for i, native := range []bool{false, true} {
 		base, err := cost(native, 0)
@@ -140,13 +141,13 @@ func Table2() (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		run, err := runSenSmart(kernel.Config{}, 1_000_000, prog)
+		sys, err := runSenSmart(kernel.Config{}, 1_000_000, prog)
 		if err != nil {
 			return nil, err
 		}
 		// Subtract the probe body: ktrap fetch (1) + exit service.
 		t.Rows = append(t.Rows, []string{"system initialization",
-			utoa(run.Cycles - 1), "5738"})
+			utoa(sys.Machine().Cycles() - 1), "5738"})
 	}
 
 	for _, p := range table2Probes {
@@ -161,11 +162,11 @@ func Table2() (*Table, error) {
 	// average the charged cost.
 	{
 		prog := asm.MustAssemble("probe-reloc", relocProbeSrc)
-		run, err := runSenSmart(kernel.Config{InitialStack: 64}, 200_000_000, prog)
+		sys, err := runSenSmart(kernel.Config{InitialStack: 64}, 200_000_000, prog)
 		if err != nil {
 			return nil, err
 		}
-		st := run.K.Stats
+		st := sys.Kernel().Stats
 		if st.Relocations == 0 {
 			return nil, fmt.Errorf("experiment: relocation probe did not relocate")
 		}

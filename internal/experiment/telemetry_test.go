@@ -18,15 +18,15 @@ func TestTelemetryFinalSnapshotAllBenchmarks(t *testing.T) {
 		kb := kb
 		t.Run(kb.Name, func(t *testing.T) {
 			smp := telemetry.New(telemetry.Options{Every: 200_000})
-			run, err := runSenSmart(kernel.Config{Telemetry: smp}, 4_000_000_000, kb.Program.Clone())
+			sys, err := runSenSmart(kernel.Config{Telemetry: smp}, 4_000_000_000, kb.Program.Clone())
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, ok := run.K.SampleTelemetryNow()
+			s, ok := sys.Kernel().SampleTelemetryNow()
 			if !ok {
 				t.Fatal("SampleTelemetryNow returned false with a sampler attached")
 			}
-			m := run.K.Metrics()
+			m := sys.Metrics()
 			if s.Cycle != m.TotalCycles || s.IdleCycles != m.IdleCycles ||
 				s.KernelCycles() != m.KernelCycles || s.AppCycles() != m.AppCycles ||
 				s.ServiceOverheadCycles != m.ServiceOverheadCycles ||

@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/progs"
@@ -33,7 +32,8 @@ type WarmstartRow struct {
 // WarmstartBench is the payload of BENCH_warmstart.json: the same budget
 // sweep run cold (every point from cycle 0) and warm (fast-forwarded once to
 // a shared checkpoint at PrefixCycles, then fanned out under the worker
-// pool), with the identity verdict and the measured prefix-skip speedup.
+// pool), with the identity verdict. Every field outside the BenchMeta host
+// header is simulated.
 type WarmstartBench struct {
 	BenchMeta
 	Workload      []string       `json:"workload"`
@@ -44,9 +44,6 @@ type WarmstartBench struct {
 	Cold          []WarmstartRow `json:"cold"`
 	Warm          []WarmstartRow `json:"warm"`
 	Identical     bool           `json:"identical"`
-	ColdWallNS    int64          `json:"cold_wall_ns"`
-	WarmWallNS    int64          `json:"warm_wall_ns"`
-	Speedup       float64        `json:"speedup"`
 }
 
 // warmstartSystem builds a fresh system with the full benchmark suite
@@ -89,13 +86,13 @@ func warmstartRow(sys *core.System, budget uint64) (WarmstartRow, error) {
 	}, nil
 }
 
-// BenchWarmstart measures the warm-checkpoint fan-out the snapshot subsystem
+// BenchWarmstart checks the warm-checkpoint fan-out the snapshot subsystem
 // exists for. Cold pass: every budget runs from cycle 0. Warm pass: one
 // parent boots, runs to prefix, checkpoints; every budget then restores the
 // serialized checkpoint into a fork of the parent (sharing its flash image
-// copy-on-write) and runs only the suffix. Both passes use the same worker
-// pool, so the speedup isolates the skipped prefix. points budgets are
-// spaced one prefix apart starting at 2*prefix.
+// copy-on-write) and runs only the suffix. Every warm row must equal its
+// cold row. points budgets are spaced one prefix apart starting at
+// 2*prefix.
 func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, error) {
 	if prefix == 0 {
 		prefix = 2_000_000
@@ -113,7 +110,6 @@ func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, erro
 		Budgets:      budgets,
 	}
 
-	coldStart := time.Now()
 	cold, err := runPoints(r.workers(), points, runProgress(r, "warmstart/cold", points,
 		func(row WarmstartRow) uint64 { return row.Cycles },
 		func(i int) (WarmstartRow, error) {
@@ -130,9 +126,7 @@ func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, erro
 		return nil, fmt.Errorf("warmstart cold sweep: %w", err)
 	}
 	out.Cold = cold
-	out.ColdWallNS = time.Since(coldStart).Nanoseconds()
 
-	warmStart := time.Now()
 	parent, names, err := warmstartSystem()
 	if err != nil {
 		return nil, err
@@ -178,7 +172,6 @@ func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, erro
 		return nil, fmt.Errorf("warmstart warm sweep: %w", err)
 	}
 	out.Warm = warm
-	out.WarmWallNS = time.Since(warmStart).Nanoseconds()
 
 	out.Identical = true
 	for i := range cold {
@@ -188,9 +181,6 @@ func (r Runner) BenchWarmstart(prefix uint64, points int) (*WarmstartBench, erro
 	}
 	if !out.Identical {
 		return out, fmt.Errorf("warmstart: warm rows diverge from cold rows")
-	}
-	if out.WarmWallNS > 0 {
-		out.Speedup = float64(out.ColdWallNS) / float64(out.WarmWallNS)
 	}
 	return out, nil
 }

@@ -24,7 +24,12 @@ func (r NativeResult) Seconds() float64 {
 // as the "native" series of Figures 5 and 6. It initializes the program's
 // .data section the way a real runtime's startup code would.
 func RunNative(prog *image.Program, limit uint64) (NativeResult, error) {
-	m := mcu.New()
+	return RunNativeOn(mcu.New(), prog, limit)
+}
+
+// RunNativeOn is RunNative on a fresh machine the caller has prepared, such
+// as one with an energy meter attached.
+func RunNativeOn(m *mcu.Machine, prog *image.Program, limit uint64) (NativeResult, error) {
 	if err := m.LoadFlash(0, prog.Words); err != nil {
 		return NativeResult{}, err
 	}
