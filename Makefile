@@ -8,29 +8,25 @@
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
 #   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
-#   make bench          regenerate BENCH_energy.json (host time is measured
-#                       by bench/run.sh, see bench/README.md)
-#   make faultcampaign  short race-enabled fault-injection campaign smoke:
-#                       runs the seeded campaign over the full benchmark
-#                       suite and writes a report to a scratch path
+#   make bench          regenerate BENCH_energy.json and BENCH_warmstart.json
+#                       (host time is measured by bench/run.sh, see
+#                       bench/README.md)
 #   make checkpoint     race-enabled checkpoint/restore smoke: snapshot a
 #                       running two-task workload mid-run with sensmart-sim,
 #                       then restore the blob and run it to completion
-#   make energy         race-enabled energy smoke: short -exp energy run
-#                       (kernel benchmarks + baselines on the joules axis)
-#                       to a scratch path, verdict table printed
 #   make debug          race-enabled time-travel smoke: scripted sensmart-sim
-#                       -debug seek+dump session, a campaign run that must
-#                       embed forensic reports, and a comparator pass over
-#                       the forensic-bearing output
+#                       -debug seek+dump session, and a fault campaign whose
+#                       output must embed forensic reports
 #   make bench-smoke    the repository benchmark's own tests, then a short
 #                       seed-1 run of each of its workloads, which must check
 #                       correct against bench/golden/ with no failed job
 #   make bench-golden   regenerate every workload's seed-1 result lines and
 #                       compare them byte for byte with bench/golden/
-#   make paper-golden   regenerate the paper's evaluation (-exp all) and
-#                       compare it byte for byte with
-#                       cmd/sensmart-bench/testdata/exp_all.txt
+#   make paper-golden   regenerate the paper's evaluation (-exp all) and the
+#                       two BENCH payloads, with a native and a GOARCH=386
+#                       build, and compare each byte for byte with
+#                       cmd/sensmart-bench/testdata/exp_all.txt,
+#                       BENCH_energy.json and BENCH_warmstart.json
 
 GO ?= go
 FUZZTIME ?= 10s
@@ -59,9 +55,9 @@ TRACE_COVER_FLOOR = 75
 # introduced).
 TIMETRAVEL_COVER_FLOOR = 75
 
-.PHONY: ci build vet test cover fmt-check fuzz bench faultcampaign checkpoint energy debug bench-smoke bench-golden paper-golden
+.PHONY: ci build vet test cover fmt-check fuzz bench checkpoint debug bench-smoke bench-golden paper-golden
 
-ci: fmt-check vet build test cover fuzz faultcampaign checkpoint energy debug bench-smoke bench-golden paper-golden
+ci: fmt-check vet build test cover fuzz checkpoint debug bench-smoke bench-golden paper-golden
 
 build:
 	$(GO) build ./...
@@ -106,15 +102,14 @@ fuzz:
 		done; \
 	done
 
-bench:
-	$(GO) run ./cmd/sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
+# The committed BENCH payloads are goldens: every byte is simulated, so
+# paper-golden regenerates each with these flags and compares it.
+BENCH_ENERGY_FLAGS = -exp energy -activations 300 -quiet
+BENCH_WARMSTART_FLAGS = -exp warmstart -quiet
 
-# Race-enabled campaign smoke: 3 trials per benchmark keeps it a few seconds
-# while still exercising every injection kind and the full verdict pipeline.
-# The golden 20-trial table is pinned by TestGoldenContainmentTable in
-# `make test`; this target proves the CLI path end to end under -race.
-faultcampaign:
-	$(GO) run -race ./cmd/sensmart-bench -exp faultcampaign -seed 1 -trials 3 -out /tmp/BENCH_faultcampaign_smoke.json
+bench:
+	$(GO) run ./cmd/sensmart-bench $(BENCH_ENERGY_FLAGS) -out BENCH_energy.json
+	$(GO) run ./cmd/sensmart-bench $(BENCH_WARMSTART_FLAGS) -out BENCH_warmstart.json
 
 # Race-enabled CLI checkpoint/restore smoke: snapshot a two-task workload
 # mid-run, then resume the written blob to completion. Resume identity (every
@@ -130,23 +125,13 @@ checkpoint:
 		-restore /tmp/sensmart_checkpoint_smoke.ssnp \
 		cmd/sensmart-sim/testdata/checkpoint_smoke.s
 
-# Race-enabled energy smoke: a short joules-axis run (10 activations instead
-# of the committed file's 300) to a scratch path. The byte-identity of the
-# full run between serial and parallel pools is pinned by
-# TestEnergyBenchDeterministic in `make test`; this target proves the CLI
-# path and the baseline-ordering verdict end to end under -race.
-energy:
-	$(GO) run -race ./cmd/sensmart-bench -exp energy -activations 10 -quiet \
-		-out /tmp/BENCH_energy_smoke.json
-
 # Race-enabled time-travel smoke. First a scripted -debug session: record a
 # two-task workload under the checkpoint ring, then seek to the boot state, a
 # boot-fallback cycle, and a ring-restored cycle, dumping every section kind.
 # Then a short campaign whose output must embed at least one forensic report
-# (seed 2 produces non-contained verdicts), self-compared through the
-# schema-aware comparator so the forensic_coverage row is exercised end to
-# end. Seek identity itself is pinned by TestSeekIdentitySerial and
-# TestSeekIdentityPooled in `make test`.
+# (seed 2 produces non-contained verdicts); TestFaultCampaignCoversSuite
+# checks that every trial owing one carries one. Seek identity itself is
+# pinned by TestSeekIdentitySerial and TestSeekIdentityPooled in `make test`.
 debug:
 	$(GO) run -race ./cmd/sensmart-sim -debug -cycles 2000000 -copies 2 \
 		-ring 4 -ring-every 200000 -at 0 -at 600000 -at 1999999 \
@@ -155,8 +140,6 @@ debug:
 	$(GO) run -race ./cmd/sensmart-bench -exp faultcampaign -seed 2 -trials 3 \
 		-out /tmp/BENCH_debug_forensics.json
 	grep -q '"forensics"' /tmp/BENCH_debug_forensics.json
-	$(GO) run ./cmd/sensmart-bench -exp compare -old /tmp/BENCH_debug_forensics.json \
-		-new /tmp/BENCH_debug_forensics.json
 
 # Repository-benchmark smoke. bench/ is a module of its own, so the root
 # `go test ./...` skips its tests; run them here. Then run every workload for
@@ -189,21 +172,31 @@ bench-golden:
 		echo "bench-golden $$w: $$(wc -l < "$$tmp/$$w.txt") lines identical"; \
 	done
 
-# Paper golden. Every table and figure of the paper's evaluation (-exp all at
-# the settings EXPERIMENTS.md cites: Table I-II, Figures 4-8, the overhead
-# and hotspot tables; about 5 s) is regenerated and compared byte for byte
-# with the committed stdout, so a change that moves any paper number fails
-# here and shows the move as a diff of that file. The output does not depend
-# on -parallel. A change that means to move a number regenerates the file
-# with
+# Paper golden: one golden per simulated artifact. Every table and figure of
+# the paper's evaluation (-exp all at the settings EXPERIMENTS.md cites:
+# Table I-II, Figures 4-8, the overhead and hotspot tables; about 5 s) and
+# both committed BENCH payloads (energy and warm-start, under a second) are
+# regenerated and compared byte for byte with the committed files, so a
+# change that moves any simulated number fails here and shows the move as a
+# diff. The outputs depend on neither -parallel nor the host. The check runs
+# twice, with a native build and with a GOARCH=386 one, so word size cannot
+# move a number either. A change that means to move a number regenerates the
+# files with
 #   go run ./cmd/sensmart-bench -exp all -activations 300 -budget 40000000 \
 #       -parallel 2 -quiet > cmd/sensmart-bench/testdata/exp_all.txt
+#   make bench
 # and says why in CHANGES.md.
 PAPER_GOLDEN_FLAGS = -exp all -activations 300 -budget 40000000 -parallel 2 -quiet
 
 paper-golden:
 	@set -e; tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	$(GO) build -o "$$tmp/sensmart-bench" ./cmd/sensmart-bench; \
-	"$$tmp/sensmart-bench" $(PAPER_GOLDEN_FLAGS) > "$$tmp/exp_all.txt"; \
-	cmp "$$tmp/exp_all.txt" cmd/sensmart-bench/testdata/exp_all.txt; \
-	echo "paper-golden: $$(wc -l < "$$tmp/exp_all.txt") lines identical"
+	for arch in $$($(GO) env GOARCH) 386; do \
+		GOARCH=$$arch $(GO) build -o "$$tmp/sensmart-bench" ./cmd/sensmart-bench; \
+		"$$tmp/sensmart-bench" $(PAPER_GOLDEN_FLAGS) > "$$tmp/exp_all.txt"; \
+		"$$tmp/sensmart-bench" $(BENCH_ENERGY_FLAGS) -out "$$tmp/BENCH_energy.json" > /dev/null; \
+		"$$tmp/sensmart-bench" $(BENCH_WARMSTART_FLAGS) -out "$$tmp/BENCH_warmstart.json" > /dev/null; \
+		cmp "$$tmp/exp_all.txt" cmd/sensmart-bench/testdata/exp_all.txt; \
+		cmp "$$tmp/BENCH_energy.json" BENCH_energy.json; \
+		cmp "$$tmp/BENCH_warmstart.json" BENCH_warmstart.json; \
+		echo "paper-golden $$arch: exp_all.txt ($$(wc -l < "$$tmp/exp_all.txt") lines), BENCH_energy.json and BENCH_warmstart.json identical"; \
+	done

@@ -14,7 +14,6 @@
 //	sensmart-bench -exp faultcampaign -seed 1 -trials 20 -out BENCH_faultcampaign.json
 //	sensmart-bench -exp warmstart -prefix 2000000 -points 6 -out BENCH_warmstart.json
 //	sensmart-bench -exp energy -activations 300 -out BENCH_energy.json
-//	sensmart-bench -exp compare -old BENCH_energy.json -new BENCH_energy.new.json
 //	sensmart-bench -exp fig6 -serve :8080
 //
 // Sweeps fan out to -parallel workers (default GOMAXPROCS); each sweep
@@ -54,7 +53,7 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("sensmart-bench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|faultcampaign|warmstart|energy|compare|all")
+	exp := fs.String("exp", "all", "experiment: table1|table2|fig4|fig5|fig6|fig7|fig8|overhead|hotspots|faultcampaign|warmstart|energy|all")
 	activations := fs.Int("activations", 300, "PeriodicTask activations (fig6; the paper uses 300)")
 	budget := fs.Uint64("budget", 40_000_000, "simulated cycle budget for fig7/fig8 workloads")
 	parallel := fs.Int("parallel", runtime.GOMAXPROCS(0), "sweep worker count; 1 = serial")
@@ -68,8 +67,6 @@ func run(args []string) error {
 	trials := fs.Int("trials", 20, "with -exp faultcampaign: injected trials per benchmark")
 	prefix := fs.Uint64("prefix", 2_000_000, "with -exp warmstart: shared warm-up cycles skipped by restoring the checkpoint")
 	points := fs.Int("points", 6, "with -exp warmstart: budget sweep points per pass")
-	oldPath := fs.String("old", "", "with -exp compare: baseline BENCH_*.json file")
-	newPath := fs.String("new", "", "with -exp compare: fresh BENCH_*.json file of the same kind")
 	quiet := fs.Bool("quiet", false, "suppress per-point progress lines on stderr")
 	serveAddr := fs.String("serve", "", "serve the live progress feed and dashboard over HTTP on this address (e.g. :8080) while sweeps run")
 	if err := fs.Parse(args); err != nil {
@@ -270,24 +267,6 @@ func run(args []string) error {
 			}
 			fmt.Printf("wrote %s (%d bytes)\n", path, len(data))
 			fmt.Print(experiment.EnergyTable(b).Render())
-			return nil
-		},
-		"compare": func() error {
-			if *oldPath == "" || *newPath == "" {
-				return fmt.Errorf("-exp compare needs -old and -new BENCH_*.json files")
-			}
-			tbl, regressions, err := experiment.CompareBenchFiles(*oldPath, *newPath)
-			if err != nil {
-				return err
-			}
-			fmt.Print(tbl.Render())
-			if len(regressions) > 0 {
-				for _, reg := range regressions {
-					fmt.Fprintln(os.Stderr, "regression:", reg)
-				}
-				return fmt.Errorf("%d metric(s) regressed", len(regressions))
-			}
-			fmt.Println("compare: ok, no metric regressed")
 			return nil
 		},
 	}

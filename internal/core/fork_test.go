@@ -40,7 +40,7 @@ spin:
 // observed builds a system carrying every observer, each configured away
 // from its defaults, with two copies of counterAsm deployed. The sampler
 // streams into the returned buffer.
-func observed(t *testing.T) (*System, *bytes.Buffer) {
+func observed(t testing.TB) (*System, *bytes.Buffer) {
 	t.Helper()
 	var stream bytes.Buffer
 	prof := profile.New(profile.Options{StackInterval: 512, StackRing: 16, WatchLimit: 8})

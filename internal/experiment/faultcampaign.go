@@ -7,11 +7,10 @@ import (
 )
 
 // FaultBench is the BENCH_faultcampaign.json payload: per-benchmark verdict
-// counts from the adversarial fault-injection campaign. Every field outside
-// the BenchMeta host header is a pure function of (seed, trials), so two
-// files from the same source tree on one host must be byte-identical at any
-// worker count — the determinism tests and the `-exp compare` gate both rely
-// on it.
+// counts from the adversarial fault-injection campaign. Every field is a
+// pure function of (seed, trials), so two files from the same source tree
+// are byte-identical on any host at any worker count, which
+// TestFaultCampaignPoolDeterminism checks.
 type FaultBench struct {
 	BenchMeta
 	Seed       uint64               `json:"seed"`

@@ -3,18 +3,21 @@ package experiment
 import (
 	"encoding/json"
 	"os"
-	"runtime"
 )
 
 // BenchSchemaVersion is the current BENCH_*.json header version. Bump it
-// when a payload changes shape incompatibly; the comparator refuses to diff
-// files whose versions disagree.
-const BenchSchemaVersion = 1
+// when a payload changes shape incompatibly.
+//
+//	1  header carried the writing host (gomaxprocs, numcpu, goos, goarch,
+//	   go_version)
+//	2  host fields dropped: every byte of a payload is simulated
+const BenchSchemaVersion = 2
 
 // BenchMeta is the common header every BENCH_*.json payload embeds: schema
-// version, which benchmark kind and set the file records, and the host that
-// wrote it. The host fields are provenance only: every payload field is a
-// simulated quantity, the same on any host.
+// version and which benchmark kind and set the file records. It names no
+// host: every payload field is a simulated quantity, so a payload is the
+// same bytes on any host, and the committed BENCH_energy.json and
+// BENCH_warmstart.json are goldens (`make paper-golden`).
 type BenchMeta struct {
 	SchemaVersion int `json:"schema_version"`
 	// Kind names the payload shape: "faultcampaign", "warmstart" or
@@ -22,25 +25,11 @@ type BenchMeta struct {
 	Kind string `json:"kind"`
 	// BenchmarkSet names the workload collection the numbers cover.
 	BenchmarkSet string `json:"benchmark_set"`
-	GOMAXPROCS   int    `json:"gomaxprocs"`
-	NumCPU       int    `json:"numcpu"`
-	GOOS         string `json:"goos"`
-	GOARCH       string `json:"goarch"`
-	GoVersion    string `json:"go_version"`
 }
 
-// NewBenchMeta fills the header for the current host.
+// NewBenchMeta fills the header for a payload of the given kind and set.
 func NewBenchMeta(kind, set string) BenchMeta {
-	return BenchMeta{
-		SchemaVersion: BenchSchemaVersion,
-		Kind:          kind,
-		BenchmarkSet:  set,
-		GOMAXPROCS:    runtime.GOMAXPROCS(0),
-		NumCPU:        runtime.NumCPU(),
-		GOOS:          runtime.GOOS,
-		GOARCH:        runtime.GOARCH,
-		GoVersion:     runtime.Version(),
-	}
+	return BenchMeta{SchemaVersion: BenchSchemaVersion, Kind: kind, BenchmarkSet: set}
 }
 
 // MarshalBench renders a BENCH_*.json payload in the repository's canonical

@@ -32,8 +32,7 @@ type WarmstartRow struct {
 // WarmstartBench is the payload of BENCH_warmstart.json: the same budget
 // sweep run cold (every point from cycle 0) and warm (fast-forwarded once to
 // a shared checkpoint at PrefixCycles, then fanned out under the worker
-// pool), with the identity verdict. Every field outside the BenchMeta host
-// header is simulated.
+// pool), with the identity verdict. Every field is simulated.
 type WarmstartBench struct {
 	BenchMeta
 	Workload      []string       `json:"workload"`

@@ -112,3 +112,56 @@ func TestWriteStackTimeline(t *testing.T) {
 		t.Errorf("idle task should be omitted:\n%s", out)
 	}
 }
+
+// TestRestoreStateChecksStackRing: a restore refuses a stack ring holding
+// more samples than its capacity, or a cursor the ring cannot have, instead
+// of leaving the next sample to index past the ring. Captured rings, filling
+// or wrapped, restore and keep sampling.
+func TestRestoreStateChecksStackRing(t *testing.T) {
+	opts := Options{StackInterval: 1, StackRing: 4}
+	capture := func(samples int) *ProfilerState {
+		p := New(opts)
+		p.RegisterTask(1, "app#0", 0x100, 0x110, 0x150)
+		p.SetContext(1, 0x100, 0x110, 0x150)
+		for i := 0; i < samples; i++ {
+			p.OnInstr(0, uint16(0x14f-i), 1)
+		}
+		return p.CaptureState()
+	}
+	for _, tc := range []struct {
+		name    string
+		samples int
+		doctor  func(ts *TaskProfState)
+		ok      bool
+	}{
+		{"filling", 2, func(*TaskProfState) {}, true},
+		{"wrapped", 6, func(*TaskProfState) {}, true},
+		{"cursor past a full ring", 6, func(ts *TaskProfState) { ts.RingPos = 255 }, false},
+		{"cursor at capacity", 6, func(ts *TaskProfState) { ts.RingPos = 4 }, false},
+		{"negative cursor", 6, func(ts *TaskProfState) { ts.RingPos = -1 }, false},
+		{"cursor in a filling ring", 2, func(ts *TaskProfState) { ts.RingPos = 1 }, false},
+		{"filling ring marked wrapped", 2, func(ts *TaskProfState) { ts.Wrapped = true }, false},
+		{"more samples than the ring", 6, func(ts *TaskProfState) { ts.Ring = append(ts.Ring, ts.Ring[0]) }, false},
+	} {
+		st := capture(tc.samples)
+		for i := range st.Tasks {
+			if st.Tasks[i].ID == 1 {
+				tc.doctor(&st.Tasks[i])
+			}
+		}
+		p := New(opts)
+		err := p.RestoreState(st)
+		if (err == nil) != tc.ok {
+			t.Errorf("%s: restore error %v, want ok=%v", tc.name, err, tc.ok)
+			continue
+		}
+		if err == nil {
+			for i := 0; i < 6; i++ {
+				p.OnInstr(0, 0x140, 1)
+			}
+			if samples, _, _ := p.StackTimeline(1); len(samples) != 4 {
+				t.Errorf("%s: %d samples retained after restoring and sampling, want 4", tc.name, len(samples))
+			}
+		}
+	}
+}

@@ -148,8 +148,23 @@ func (p *Profiler) RestoreState(st *ProfilerState) error {
 		t.reloc = ts.Reloc
 		t.intr = ts.Intr
 		t.nextSample = ts.NextSample
+		// The ring fills by appending with its cursor at 0; only a full
+		// ring wraps, overwriting at a cursor inside it.
+		ringCap := 0
 		if p.o.StackInterval != 0 {
-			ring := make([]StackSample, len(ts.Ring), p.o.StackRing)
+			ringCap = p.o.StackRing
+		}
+		if len(ts.Ring) > ringCap {
+			return fmt.Errorf("profile: snapshot task %d retains %d stack samples, over the %d-sample ring",
+				ts.ID, len(ts.Ring), ringCap)
+		}
+		full := ringCap > 0 && len(ts.Ring) == ringCap
+		if full && (ts.RingPos < 0 || ts.RingPos >= ringCap) || !full && (ts.RingPos != 0 || ts.Wrapped) {
+			return fmt.Errorf("profile: snapshot task %d stack ring cursor %d (wrapped %v) is invalid for %d of %d samples",
+				ts.ID, ts.RingPos, ts.Wrapped, len(ts.Ring), ringCap)
+		}
+		if ringCap != 0 {
+			ring := make([]StackSample, len(ts.Ring), ringCap)
 			copy(ring, ts.Ring)
 			t.ring = ring
 		} else {
