@@ -93,12 +93,15 @@ fmt-check:
 	fi
 
 # Every fuzz target in the module, one at a time (go test -fuzz takes a
-# single target per run), each for FUZZTIME.
+# single target per run), each for FUZZTIME. Go's fuzzer minimises each new
+# interesting input for up to 60 s by default and counts no execs meanwhile,
+# which would spend a short window on large inputs (snapshots, images)
+# minimising; 20 attempts per input keep it fuzzing.
 fuzz:
 	@set -e; for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' internal cmd); do \
 		for name in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
 			echo "fuzz ./$$(dirname $$f) $$name"; \
-			$(GO) test ./$$(dirname $$f) -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME); \
+			$(GO) test ./$$(dirname $$f) -run "^$$name\$$" -fuzz "^$$name\$$" -fuzztime $(FUZZTIME) -fuzzminimizetime 20x; \
 		done; \
 	done
 

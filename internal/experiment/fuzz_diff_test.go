@@ -3,6 +3,7 @@ package experiment
 import (
 	"bytes"
 	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -101,11 +102,57 @@ func programFromDNA(d *dna) string {
 	return b.String()
 }
 
+// kernelRun is the end state of one naturalized run that must not depend on
+// the interpreter tier.
+type kernelRun struct {
+	cycles, insts uint64
+	regs          [32]byte
+	region        []byte // the task's whole memory region
+	maxStack      uint16
+	metrics       string
+}
+
+// runNaturalized boots nat as the only task on a fresh machine set up by
+// tier and runs it to limit; the task must exit cleanly.
+func runNaturalized(t testing.TB, nat *rewriter.Naturalized, limit uint64, tier func(*mcu.Machine)) (*mcu.Machine, *kernel.Task, kernelRun) {
+	t.Helper()
+	m := mcu.New()
+	tier(m)
+	k := kernel.New(m, kernel.Config{})
+	task, err := k.AddTask(nat.Orig.Name, nat)
+	if err != nil {
+		t.Fatalf("add task: %v", err)
+	}
+	if err := k.Boot(); err != nil {
+		t.Fatalf("boot: %v", err)
+	}
+	if err := k.Run(limit); err != nil {
+		t.Fatalf("kernel run: %v", err)
+	}
+	if task.ExitReason != "exited" {
+		t.Fatalf("task did not exit cleanly: %q", task.ExitReason)
+	}
+	r := kernelRun{cycles: m.Cycles(), insts: m.Instructions(), maxStack: task.MaxStackUsed,
+		metrics: k.Metrics().Render()}
+	for i := range r.regs {
+		r.regs[i] = m.Reg(uint8(i))
+	}
+	pl, _, pu := task.Region()
+	for a := pl; a < pu; a++ {
+		r.region = append(r.region, m.Peek(a))
+	}
+	return m, task, r
+}
+
 // assertSameExecution runs prog natively and under the SenSmart
 // rewriter+kernel and fails unless the final register file, the entire heap,
 // and the UART output are identical — the semantics-preservation contract of
-// naturalization (Section IV-B).
-func assertSameExecution(t testing.TB, prog *image.Program, nativeLimit, kernelLimit uint64) {
+// naturalization (Section IV-B). With tiers it also runs the naturalized
+// program stepwise and at translation threshold 1, where every trap a block
+// reaches is offered to the in-block service, and requires all three runs
+// to end in the same cycles, instructions, registers, task region, stack
+// high-water mark and kernel metrics.
+func assertSameExecution(t testing.TB, prog *image.Program, nativeLimit, kernelLimit uint64, tiers bool) {
 	t.Helper()
 	native, err := progs.RunNative(prog.Clone(), nativeLimit)
 	if err != nil {
@@ -115,21 +162,7 @@ func assertSameExecution(t testing.TB, prog *image.Program, nativeLimit, kernelL
 	if err != nil {
 		t.Fatalf("rewrite: %v", err)
 	}
-	m := mcu.New()
-	k := kernel.New(m, kernel.Config{})
-	task, err := k.AddTask(prog.Name, nat)
-	if err != nil {
-		t.Fatalf("add task: %v", err)
-	}
-	if err := k.Boot(); err != nil {
-		t.Fatalf("boot: %v", err)
-	}
-	if err := k.Run(kernelLimit); err != nil {
-		t.Fatalf("kernel run: %v", err)
-	}
-	if task.ExitReason != "exited" {
-		t.Fatalf("task did not exit cleanly: %q", task.ExitReason)
-	}
+	m, task, run := runNaturalized(t, nat, kernelLimit, func(*mcu.Machine) {})
 	for i := uint8(0); i < 32; i++ {
 		if native.Machine.Reg(i) != m.Reg(i) {
 			t.Fatalf("r%d: native=%#x sensmart=%#x", i, native.Machine.Reg(i), m.Reg(i))
@@ -145,6 +178,20 @@ func assertSameExecution(t testing.TB, prog *image.Program, nativeLimit, kernelL
 	}
 	if nu, ku := native.Machine.UARTOutput(), m.UARTOutput(); !bytes.Equal(nu, ku) {
 		t.Fatalf("uart: native=%q sensmart=%q", nu, ku)
+	}
+	if !tiers {
+		return
+	}
+	for _, tier := range []struct {
+		name  string
+		setup func(*mcu.Machine)
+	}{
+		{"stepwise", func(m *mcu.Machine) { m.SetStepwise(true) }},
+		{"threshold 1", func(m *mcu.Machine) { m.SetTranslation(1) }},
+	} {
+		if _, _, got := runNaturalized(t, nat, kernelLimit, tier.setup); !reflect.DeepEqual(got, run) {
+			t.Fatalf("%s run differs from the default run:\n%s %+v\ndefault %+v", tier.name, tier.name, got, run)
+		}
 	}
 }
 
@@ -183,7 +230,7 @@ func FuzzDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatalf("generated program does not assemble: %v\n%s", err, src)
 		}
-		assertSameExecution(t, prog, 10_000_000, 50_000_000)
+		assertSameExecution(t, prog, 10_000_000, 50_000_000, true)
 	})
 }
 
@@ -196,7 +243,7 @@ func TestDifferentialKernelBenchmarks(t *testing.T) {
 			if testing.Short() && kb.Name == "lfsr" {
 				t.Skip("long benchmark in -short mode")
 			}
-			assertSameExecution(t, kb.Program, 2_000_000_000, 4_000_000_000)
+			assertSameExecution(t, kb.Program, 2_000_000_000, 4_000_000_000, false)
 		})
 	}
 }

@@ -673,18 +673,29 @@ func TestTranslationObserverByteIdentity(t *testing.T) {
 // the floor was set).
 const minFusedShare = 0.99
 
+// minInBlockShare is the least share of their kernel traps the plain runs of
+// inBlockFloored serve in-block (97.5–98.6 % measured when the floor was
+// set). The poll benchmarks book most of theirs through the repeater and
+// get no floor.
+const minInBlockShare = 0.95
+
+var inBlockFloored = map[string]bool{"crc": true, "eventchain": true, "lfsr": true}
+
 // TestArmedObserversKeepFusedTier pins where the default run executes, not
 // only what it simulates. An energy meter hooks device transitions and the
 // sleep path, and a sampler whose interval lies past the run never comes
 // due; attaching either must leave the plain run's cycles, instructions and
 // every translation counter unchanged. A hook that shortened fused windows
 // or sent instructions to Step would move the counters while every row of
-// the matrix still matched. The plain run must also retire at least
-// minFusedShare of its instructions in fused blocks.
+// the matrix still matched, and so would one that changed which traps the
+// fused tier serves in-block. The plain run must also retire at least
+// minFusedShare of its instructions in fused blocks, and the benchmarks in
+// inBlockFloored serve at least minInBlockShare of their traps in-block.
+// A recorder needs an event per trap, so a traced run serves none in-block.
 func TestArmedObserversKeepFusedTier(t *testing.T) {
 	type tierRun struct {
-		cycles, insts uint64
-		tiers         mcu.TranslationStats
+		cycles, insts, traps uint64
+		tiers                mcu.TranslationStats
 	}
 	run := func(p *image.Program, opts ...core.Option) (tierRun, error) {
 		sys := core.NewSystem(opts...)
@@ -699,7 +710,11 @@ func TestArmedObserversKeepFusedTier(t *testing.T) {
 			err = fmt.Errorf("%d-cycle limit hit before completion", uint64(identLimit))
 		}
 		m := sys.Machine()
-		return tierRun{m.Cycles(), m.Instructions(), m.TranslationStats()}, err
+		var traps uint64
+		for _, n := range sys.Kernel().Stats.ServiceCalls {
+			traps += n
+		}
+		return tierRun{m.Cycles(), m.Instructions(), traps, m.TranslationStats()}, err
 	}
 	armed := []struct {
 		name string
@@ -719,6 +734,22 @@ func TestArmedObserversKeepFusedTier(t *testing.T) {
 			if share := float64(plain.tiers.FusedInsts) / float64(plain.insts); share < minFusedShare {
 				t.Errorf("plain run retired %.4f of its instructions fused, want >= %.2f: %+v",
 					share, minFusedShare, plain.tiers)
+			}
+			share := float64(plain.tiers.InBlockTraps) / float64(plain.traps)
+			if inBlockFloored[kb.Name] && share < minInBlockShare {
+				t.Errorf("plain run served %.4f of its %d traps in-block, want >= %.2f",
+					share, plain.traps, minInBlockShare)
+			}
+			t.Logf("served %d of %d traps in-block (%.4f)", plain.tiers.InBlockTraps, plain.traps, share)
+			if kb.Name == "crc" {
+				traced, err := run(kb.Program, core.WithTrace(trace.NewLimited(64)))
+				if err != nil {
+					t.Fatalf("+trace: %v", err)
+				}
+				if traced.tiers.InBlockTraps != 0 || traced.cycles != plain.cycles {
+					t.Errorf("+trace: served %d traps in-block at cycle %d; want none, at cycle %d",
+						traced.tiers.InBlockTraps, traced.cycles, plain.cycles)
+				}
 			}
 			for _, a := range armed {
 				got, err := run(kb.Program, a.opt())

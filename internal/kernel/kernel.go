@@ -13,7 +13,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/avr"
 	"repro/internal/energy"
 	"repro/internal/mcu"
 	"repro/internal/profile"
@@ -102,7 +101,7 @@ func (c *Config) setDefaults() {
 
 // numClasses bounds the per-service accounting arrays (rewriter.Class is
 // 1-based and tops out at ClassExit).
-const numClasses = 16
+const numClasses = mcu.ServiceClasses
 
 // Stats aggregates kernel-level counters for the evaluation harnesses.
 type Stats struct {
@@ -141,10 +140,12 @@ var (
 	ErrBooted = errors.New("kernel: already booted")
 )
 
-// loadedProg tracks one naturalized program placed in flash.
+// loadedProg tracks one naturalized program placed in flash; its patches
+// hold trap ids idBase onward.
 type loadedProg struct {
-	nat  *rewriter.Naturalized
-	base uint32
+	nat    *rewriter.Naturalized
+	base   uint32
+	idBase int
 }
 
 // Kernel is one SenSmart instance bound to a machine.
@@ -155,9 +156,11 @@ type Kernel struct {
 	Tasks   []*Task
 	regions []*Task // live tasks ordered by region address
 
-	cur    int // index into Tasks of the running task; -1 = none
-	progs  []*loadedProg
-	traps  []trapRef // global KTRAP id -> (program, patch)
+	cur   int // index into Tasks of the running task; -1 = none
+	progs []*loadedProg
+	// traps describes each global KTRAP id; the machine shares the table
+	// (publish), and the kernel services its own traps from it too.
+	traps  []mcu.TrapDesc
 	booted bool
 
 	flashTop uint32
@@ -182,31 +185,6 @@ type Kernel struct {
 
 	Stats Stats
 }
-
-type trapRef struct {
-	prog  *loadedProg
-	patch *rewriter.Patch
-
-	// Hot fields flattened from prog/patch at load time: a trap dispatch is
-	// one KTRAP per few application instructions under naturalized code, so
-	// the common services (branches above all) must not chase pointers for
-	// values that are fixed once the program is linked.
-	class     rewriter.Class
-	backward  bool
-	brKind    uint8 // branch evaluation: brAlways, brSet (BRBS), brClr (BRBC)
-	brMask    byte  // SREG mask for brSet/brClr
-	baseCyc   uint8 // the original instruction's base cycles (charge input)
-	base      uint32
-	absNext   uint32 // base + patch.NatNext
-	absTarget uint32 // base + patch.NatTarget
-}
-
-// Branch-evaluation kinds for trapRef.brKind.
-const (
-	brAlways = iota
-	brSet
-	brClr
-)
 
 // New creates a kernel on m.
 func New(m *mcu.Machine, cfg Config) *Kernel {
@@ -324,7 +302,7 @@ func (k *Kernel) FreeMemory() uint16 {
 	if len(k.regions) == 0 {
 		return k.appEnd - k.appBase
 	}
-	return k.appEnd - k.regions[len(k.regions)-1].pu
+	return k.appEnd - k.regions[len(k.regions)-1].region.PU
 }
 
 // loadProgram places a naturalized program in flash (once per program),
@@ -346,25 +324,11 @@ func (k *Kernel) loadProgram(nat *rewriter.Naturalized) (*loadedProg, error) {
 	if idBase+len(nat.Patches) > 0x10000 {
 		return nil, fmt.Errorf("kernel: trap id space exhausted loading %s", nat.Program.Name)
 	}
-	lp := &loadedProg{nat: nat, base: base}
+	lp := &loadedProg{nat: nat, base: base, idBase: idBase}
 	k.progs = append(k.progs, lp)
 	for _, p := range nat.Patches {
 		words[p.NatPC+1] = uint16(idBase)
-		ref := trapRef{
-			prog: lp, patch: p,
-			class: p.Class, backward: p.Backward,
-			baseCyc:   uint8(p.Orig.Op.BaseCycles()),
-			base:      base,
-			absNext:   base + p.NatNext,
-			absTarget: base + p.NatTarget,
-		}
-		switch p.Orig.Op {
-		case avr.OpBrbs:
-			ref.brKind, ref.brMask = brSet, 1<<(p.Orig.Src&7)
-		case avr.OpBrbc:
-			ref.brKind, ref.brMask = brClr, 1<<(p.Orig.Src&7)
-		}
-		k.traps = append(k.traps, ref)
+		k.traps = append(k.traps, describe(p, base))
 		idBase++
 	}
 	if err := k.M.LoadFlash(base, words); err != nil {
@@ -372,6 +336,7 @@ func (k *Kernel) loadProgram(nat *rewriter.Naturalized) (*loadedProg, error) {
 		k.traps = k.traps[:len(k.traps)-len(nat.Patches)]
 		return nil, err
 	}
+	k.publish()
 	k.flashTop = base + uint32(len(words))
 	k.sym.AddImage(nat.Program.Name, base, nat.Program, nat.CodeWords, nat.TrampolineWords)
 	k.ev(trace.Event{Kind: trace.KindProgLoad, Task: -1, Arg: uint64(base),
@@ -396,7 +361,7 @@ func (k *Kernel) AddTask(name string, nat *rewriter.Naturalized) (*Task, error) 
 	size := heap + stack
 	start := k.appBase
 	if n := len(k.regions); n > 0 {
-		start = k.regions[n-1].pu
+		start = k.regions[n-1].region.PU
 	}
 	if int(start)+int(size) > int(k.appEnd) {
 		return nil, fmt.Errorf("%w: task %s needs %d bytes, %d free",
@@ -407,15 +372,27 @@ func (k *Kernel) AddTask(name string, nat *rewriter.Naturalized) (*Task, error) 
 		Name:   name,
 		Nat:    nat,
 		Base:   lp.base,
-		pl:     start,
-		ph:     start + heap,
-		pu:     start + size,
+		region: mcu.Region{PL: start, PH: start + heap, PU: start + size},
 		state:  TaskReady,
 		pc:     lp.base + nat.Program.Entry,
 		spPhys: start + size - 1,
 	}
 	t.spShadow = t.logicalSP()
 	t.branchLeft = k.Cfg.BranchInterval
+	t.ctr = mcu.TaskBlock{
+		Base:         t.Base,
+		CallRoom:     k.Cfg.RedZone + 2,
+		Region:       &t.region,
+		SP:           &t.spPhys,
+		MaxStack:     &t.MaxStackUsed,
+		BranchLeft:   &t.branchLeft,
+		TaskCalls:    &t.ServiceCalls,
+		KernelCycles: &t.KernelCycles,
+		Calls:        &k.Stats.ServiceCalls,
+		Cycles:       &k.Stats.ServiceCycles,
+		Overhead:     &k.Stats.ServiceOverhead,
+		BranchTraps:  &k.Stats.BranchTraps,
+	}
 	k.Tasks = append(k.Tasks, t)
 	k.regions = append(k.regions, t)
 	if k.booted {
@@ -425,12 +402,12 @@ func (k *Kernel) AddTask(name string, nat *rewriter.Naturalized) (*Task, error) 
 		k.initTaskHeap(t)
 	}
 	if k.prof != nil {
-		k.prof.RegisterTask(int32(t.ID), name, t.pl, t.ph, t.pu)
+		k.prof.RegisterTask(int32(t.ID), name, t.region.PL, t.region.PH, t.region.PU)
 	}
 	if k.Cfg.Telemetry != nil {
 		k.Cfg.Telemetry.RegisterTask(int32(t.ID), name)
 	}
-	k.ev(trace.Event{Kind: trace.KindTaskSpawn, Task: int32(t.ID), Arg: uint64(t.pl),
+	k.ev(trace.Event{Kind: trace.KindTaskSpawn, Task: int32(t.ID), Arg: uint64(t.region.PL),
 		Arg2: uint64(size), Detail: name})
 	return t, nil
 }
@@ -453,7 +430,7 @@ func (k *Kernel) initTaskHeap(t *Task) {
 		if i < len(t.Nat.Program.DataInit) {
 			v = t.Nat.Program.DataInit[i]
 		}
-		k.M.Poke(t.pl+uint16(i), v)
+		k.M.Poke(t.region.PL+uint16(i), v)
 	}
 }
 
@@ -611,7 +588,7 @@ func (k *Kernel) restore(t *Task, contPC uint32) {
 	}
 	m.SetSREG(t.sreg)
 	m.SetSP(t.spPhys)
-	m.SetGuard(t.pl, t.pu)
+	m.SetGuard(t.region.PL, t.region.PU)
 	if contPC == 0 {
 		contPC = t.pc
 	}
@@ -626,8 +603,21 @@ func (k *Kernel) restore(t *Task, contPC uint32) {
 	t.sliceStart = m.Cycles()
 	t.runStart = t.sliceStart
 	if k.prof != nil {
-		k.prof.SetContext(int32(t.ID), t.pl, t.ph, t.pu)
+		k.prof.SetContext(int32(t.ID), t.region.PL, t.region.PH, t.region.PU)
 	}
+	k.publish()
+}
+
+// publish hands the machine the trap descriptors and the running task's
+// counter block, so the fused tier serves the hot trap classes in-block
+// (mcu.TaskBlock). It publishes no block before boot, with no task running,
+// or with a recorder or profiler attached, whose events are per trap.
+func (k *Kernel) publish() {
+	var b *mcu.TaskBlock
+	if t := k.Current(); t != nil && k.Cfg.Trace == nil && k.prof == nil {
+		b = &t.ctr
+	}
+	k.M.SetTrapService(k.traps, b)
 }
 
 // accrueRun credits the running task's wall-clock cycles up to now. Called
@@ -753,7 +743,7 @@ func (k *Kernel) terminate(t *Task, reason string) {
 	if k.Cfg.OnTaskExit != nil {
 		k.Cfg.OnTaskExit(k, t)
 	}
-	size := t.pu - t.pl
+	size := t.region.PU - t.region.PL
 	relocBefore := k.Stats.RelocCycles
 	k.releaseRegion(t)
 	if k.prof != nil {
@@ -765,6 +755,7 @@ func (k *Kernel) terminate(t *Task, reason string) {
 	}
 	if k.Current() == t {
 		k.cur = -1
+		k.publish()
 		k.schedule(0)
 	}
 }

@@ -1,6 +1,10 @@
 package kernel
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/mcu"
+)
 
 // TestTaskLogicalAddr pins the exported per-task address translation against
 // the paper's formulas: heap bytes map to 0x100+offset, stack bytes map so
@@ -8,7 +12,7 @@ import "testing"
 // region passes through untranslated.
 func TestTaskLogicalAddr(t *testing.T) {
 	// Region: heap [0x0200, 0x0300), stack (0x0300, 0x0400); stack size 0x100.
-	tk := &Task{pl: 0x0200, ph: 0x0300, pu: 0x0400, spPhys: 0x03F0}
+	tk := &Task{region: mcu.Region{PL: 0x0200, PH: 0x0300, PU: 0x0400}, spPhys: 0x03F0}
 
 	cases := []struct {
 		name string
@@ -34,7 +38,7 @@ func TestTaskLogicalAddr(t *testing.T) {
 	}
 
 	// LogicalSP must agree with the stack translation applied to spPhys.
-	if got, want := tk.LogicalSP(), uint16(int(tk.spPhys)+logicalSPBase-int(tk.pu)); got != want {
+	if got, want := tk.LogicalSP(), uint16(int(tk.spPhys)+logicalSPBase-int(tk.region.PU)); got != want {
 		t.Errorf("LogicalSP() = %#04x, want %#04x", got, want)
 	}
 }

@@ -6,42 +6,6 @@ import (
 	"repro/internal/trace"
 )
 
-// accessKind classifies where a translated logical address landed, which
-// selects the Table II overhead row.
-type accessKind uint8
-
-const (
-	accessIO accessKind = iota + 1
-	accessHeap
-	accessStack
-	accessInvalid
-)
-
-// translate maps a task-logical data address to a physical one
-// (Section IV-C2, Figure 2): the I/O area is identity-mapped, the heap adds
-// the displacement p_l, and the stack adds p_u - M.
-func (t *Task) translate(logical uint16) (phys uint16, kind accessKind) {
-	if logical < 0x100 {
-		return logical, accessIO
-	}
-	heapSize := t.ph - t.pl
-	if logical >= 0x100 && logical < 0x100+heapSize {
-		return logical - 0x100 + t.pl, accessHeap
-	}
-	// The logical stack grows down from M = logicalSPBase; the topmost
-	// stack byte lives at M-1. Addresses at or above M would land past
-	// p_u — another task's region — so they fault like any other
-	// out-of-region access.
-	if logical >= logicalSPBase {
-		return 0, accessInvalid
-	}
-	stackSize := t.pu - t.ph
-	if logical >= logicalSPBase-stackSize {
-		return logical - (logicalSPBase - stackSize) + t.ph, accessStack
-	}
-	return 0, accessInvalid
-}
-
 // regionIndex locates t in the address-ordered region list.
 func (k *Kernel) regionIndex(t *Task) int {
 	for i, r := range k.regions {
@@ -163,13 +127,13 @@ func (k *Kernel) growStack(t *Task, need uint16) bool {
 // current stack top).
 func (t *Task) freeStack() uint16 {
 	sp := t.spPhys
-	if sp >= t.pu { // empty stack
-		return t.pu - t.ph
+	if sp >= t.region.PU { // empty stack
+		return t.region.PU - t.region.PH
 	}
-	if sp < t.ph {
+	if sp < t.region.PH {
 		return 0
 	}
-	return sp + 1 - t.ph
+	return sp + 1 - t.region.PH
 }
 
 // shiftUpInto grows region m's stack by delta, taking the space from donor
@@ -180,22 +144,22 @@ func (k *Kernel) shiftUpInto(m, dn int, delta uint16) {
 		n := k.regions[dn]
 		// Donor keeps its stack contents in place; only its heap slides up,
 		// shrinking its free stack gap.
-		k.moveBlock(n.pl+delta, n.pl, n.ph-n.pl)
-		n.pl += delta
-		n.ph += delta
+		k.moveBlock(n.region.PL+delta, n.region.PL, n.region.PH-n.region.PL)
+		n.region.PL += delta
+		n.region.PH += delta
 	}
 	for i := dn - 1; i > m; i-- {
 		r := k.regions[i]
-		k.moveBlock(r.pl+delta, r.pl, r.pu-r.pl)
-		r.pl += delta
-		r.ph += delta
-		r.pu += delta
+		k.moveBlock(r.region.PL+delta, r.region.PL, r.region.PU-r.region.PL)
+		r.region.PL += delta
+		r.region.PH += delta
+		r.region.PU += delta
 		r.spPhys += delta
 	}
 	t := k.regions[m]
 	used := t.StackUsed()
 	k.moveBlock(t.spPhys+1+delta, t.spPhys+1, used)
-	t.pu += delta
+	t.region.PU += delta
 	t.spPhys += delta
 }
 
@@ -205,20 +169,20 @@ func (k *Kernel) shiftDownInto(m, dn int, delta uint16) {
 	n := k.regions[dn]
 	used := n.StackUsed()
 	k.moveBlock(n.spPhys+1-delta, n.spPhys+1, used)
-	n.pu -= delta
+	n.region.PU -= delta
 	n.spPhys -= delta
 	for i := dn + 1; i < m; i++ {
 		r := k.regions[i]
-		k.moveBlock(r.pl-delta, r.pl, r.pu-r.pl)
-		r.pl -= delta
-		r.ph -= delta
-		r.pu -= delta
+		k.moveBlock(r.region.PL-delta, r.region.PL, r.region.PU-r.region.PL)
+		r.region.PL -= delta
+		r.region.PH -= delta
+		r.region.PU -= delta
 		r.spPhys -= delta
 	}
 	t := k.regions[m]
-	k.moveBlock(t.pl-delta, t.pl, t.ph-t.pl)
-	t.pl -= delta
-	t.ph -= delta
+	k.moveBlock(t.region.PL-delta, t.region.PL, t.region.PH-t.region.PL)
+	t.region.PL -= delta
+	t.region.PH -= delta
 }
 
 // syncAfterMove refreshes machine state and SP shadows after regions moved.
@@ -226,12 +190,12 @@ func (k *Kernel) syncAfterMove() {
 	for _, r := range k.regions {
 		r.spShadow = r.logicalSP()
 		if k.prof != nil {
-			k.prof.UpdateRegion(int32(r.ID), r.pl, r.ph, r.pu)
+			k.prof.UpdateRegion(int32(r.ID), r.region.PL, r.region.PH, r.region.PU)
 		}
 	}
 	if cur := k.Current(); cur != nil {
 		k.M.SetSP(cur.spPhys)
-		k.M.SetGuard(cur.pl, cur.pu)
+		k.M.SetGuard(cur.region.PL, cur.region.PU)
 	}
 }
 
@@ -243,13 +207,13 @@ func (k *Kernel) releaseRegion(t *Task) {
 	if idx < 0 {
 		return
 	}
-	size := t.pu - t.pl
+	size := t.region.PU - t.region.PL
 	for i := idx + 1; i < len(k.regions); i++ {
 		r := k.regions[i]
-		k.moveBlock(r.pl-size, r.pl, r.pu-r.pl)
-		r.pl -= size
-		r.ph -= size
-		r.pu -= size
+		k.moveBlock(r.region.PL-size, r.region.PL, r.region.PU-r.region.PL)
+		r.region.PL -= size
+		r.region.PH -= size
+		r.region.PU -= size
 		r.spPhys -= size
 	}
 	k.regions = append(k.regions[:idx], k.regions[idx+1:]...)

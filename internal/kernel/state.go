@@ -80,9 +80,9 @@ func (k *Kernel) CaptureState() *KernelState {
 			ID:           t.ID,
 			Name:         t.Name,
 			Base:         t.Base,
-			PL:           t.pl,
-			PH:           t.ph,
-			PU:           t.pu,
+			PL:           t.region.PL,
+			PH:           t.region.PH,
+			PU:           t.region.PU,
 			State:        uint8(t.state),
 			WakeAt:       t.wakeAt,
 			Regs:         t.regs,
@@ -174,11 +174,24 @@ func (k *Kernel) RestoreState(st *KernelState) error {
 		prev = r
 		regions[i] = k.Tasks[ti]
 	}
-	// A live task's saved SP lies in its stack area: from p_h-1 (full) up
-	// to p_u-1 (empty). The current task's saved SP is stale; the machine
-	// holds its live one.
+	// Every task is ready, sleeping or terminated, and its backward-branch
+	// countdown lies in 1..BranchInterval: the slice check resets it at
+	// zero, so a zero would wrap and never preempt again. A live task's
+	// saved SP lies in its stack area: from p_h-1 (full) up to p_u-1
+	// (empty). The current task's saved SP is stale; the machine holds its
+	// live one.
 	for i := range st.Tasks {
 		r := &st.Tasks[i]
+		switch TaskState(r.State) {
+		case TaskReady, TaskSleeping, TaskTerminated:
+		default:
+			return fmt.Errorf("kernel: snapshot task %q has state %d, want ready, sleeping or terminated",
+				r.Name, r.State)
+		}
+		if r.BrLeft == 0 || r.BrLeft > k.Cfg.BranchInterval {
+			return fmt.Errorf("kernel: snapshot task %q's branch countdown %d lies outside 1..%d",
+				r.Name, r.BrLeft, k.Cfg.BranchInterval)
+		}
 		if i == st.Cur || TaskState(r.State) == TaskTerminated {
 			continue
 		}
@@ -189,7 +202,7 @@ func (k *Kernel) RestoreState(st *KernelState) error {
 	}
 	for i, t := range k.Tasks {
 		r := &st.Tasks[i]
-		t.pl, t.ph, t.pu = r.PL, r.PH, r.PU
+		t.region.PL, t.region.PH, t.region.PU = r.PL, r.PH, r.PU
 		t.state = TaskState(r.State)
 		t.wakeAt = r.WakeAt
 		t.regs = r.Regs
@@ -209,7 +222,7 @@ func (k *Kernel) RestoreState(st *KernelState) error {
 		t.ServiceCalls = r.ServiceCalls
 		t.KernelCycles = r.KernelCycles
 		if k.prof != nil {
-			k.prof.UpdateRegion(int32(t.ID), t.pl, t.ph, t.pu)
+			k.prof.UpdateRegion(int32(t.ID), t.region.PL, t.region.PH, t.region.PU)
 		}
 	}
 	k.regions = regions
@@ -218,5 +231,6 @@ func (k *Kernel) RestoreState(st *KernelState) error {
 	k.curService = rewriter.Class(st.Service)
 	k.FaultLog = append([]FaultRecord(nil), st.FaultLog...)
 	k.booted = true
+	k.publish()
 	return nil
 }

@@ -82,6 +82,12 @@ func TestRestoreStateRejects(t *testing.T) {
 		{name: "saved SP below p_h-1", want: "saved SP", edit: func(st *KernelState) {
 			st.Tasks[other].SPPhys = st.Tasks[other].PH - 2
 		}},
+		{name: "countdown 0", want: "branch countdown 0 lies outside 1..256", edit: func(st *KernelState) { st.Tasks[base.Cur].BrLeft = 0 }},
+		{name: "countdown above the interval", want: "branch countdown 257 lies outside 1..256",
+			edit: func(st *KernelState) { st.Tasks[other].BrLeft = 257 }},
+		{name: "state 0", want: "has state 0, want ready, sleeping or terminated",
+			edit: func(st *KernelState) { st.Tasks[other].State = 0 }},
+		{name: "state 4", want: "has state 4", edit: func(st *KernelState) { st.Tasks[base.Cur].State = 4 }},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {

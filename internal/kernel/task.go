@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 
+	"repro/internal/mcu"
 	"repro/internal/rewriter"
 )
 
@@ -42,8 +43,9 @@ type Task struct {
 	// Base is the flash word address the naturalized program is loaded at.
 	Base uint32
 
-	// Memory region bounds (physical): heap [pl, ph), stack (ph, pu).
-	pl, ph, pu uint16
+	// region holds the physical memory bounds: heap [PL, PH), stack
+	// (PH, PU).
+	region mcu.Region
 
 	state  TaskState
 	wakeAt uint64 // cycle to wake a sleeping task
@@ -73,6 +75,11 @@ type Task struct {
 	// timer3Latch holds the latched high byte for virtualized TCNT3 reads.
 	timer3Latch byte
 
+	// ctr is the task's counter block, published to the machine while the
+	// task runs (Kernel.publish); it points at the fields above and below
+	// and at the kernel's Stats.
+	ctr mcu.TaskBlock
+
 	// Statistics.
 	Relocations  int    // relocations this task triggered
 	MaxStackUsed uint16 // high-water mark of stack bytes in use
@@ -94,22 +101,17 @@ func (t *Task) State() TaskState { return t.state }
 
 // Region returns the physical bounds of the task's memory region and heap
 // top: heap is [pl, ph), stack space is [ph, pu).
-func (t *Task) Region() (pl, ph, pu uint16) { return t.pl, t.ph, t.pu }
+func (t *Task) Region() (pl, ph, pu uint16) { return t.region.PL, t.region.PH, t.region.PU }
 
 // StackAlloc returns the bytes of stack space currently allocated to the
 // task (pu - ph).
-func (t *Task) StackAlloc() uint16 { return t.pu - t.ph }
+func (t *Task) StackAlloc() uint16 { return t.region.PU - t.region.PH }
 
 // StackUsed returns the bytes of stack currently in use.
-func (t *Task) StackUsed() uint16 {
-	if t.spPhys >= t.pu {
-		return 0
-	}
-	return t.pu - 1 - t.spPhys
-}
+func (t *Task) StackUsed() uint16 { return t.region.StackUsed(t.spPhys) }
 
 // HeapSize returns the fixed heap bytes of the task's region.
-func (t *Task) HeapSize() uint16 { return t.ph - t.pl }
+func (t *Task) HeapSize() uint16 { return t.region.PH - t.region.PL }
 
 // noteStackUse updates the stack high-water mark.
 func (t *Task) noteStackUse() {
@@ -120,12 +122,12 @@ func (t *Task) noteStackUse() {
 
 // logicalSPBase is one past the highest logical data address (M in the
 // paper's translation formulas).
-const logicalSPBase = 0x1100
+const logicalSPBase = mcu.DataSize
 
 // logicalSP converts the task's physical SP to the logical SP the
 // application sees.
 func (t *Task) logicalSP() uint16 {
-	return uint16(int(t.spPhys) + logicalSPBase - int(t.pu))
+	return uint16(int(t.spPhys) + logicalSPBase - int(t.region.PU))
 }
 
 // LogicalSP returns the task's logical stack pointer — the SP value the
@@ -140,15 +142,15 @@ func (t *Task) LogicalSP() uint16 { return t.logicalSP() }
 // the running one's.
 func (t *Task) LogicalAddr(phys uint16) (logical uint16, ok bool) {
 	switch {
-	case phys >= t.pl && phys < t.ph:
-		return 0x100 + (phys - t.pl), true
-	case phys >= t.ph && phys < t.pu:
-		return phys - t.ph + (logicalSPBase - (t.pu - t.ph)), true
+	case phys >= t.region.PL && phys < t.region.PH:
+		return 0x100 + (phys - t.region.PL), true
+	case phys >= t.region.PH && phys < t.region.PU:
+		return phys - t.region.PH + (logicalSPBase - (t.region.PU - t.region.PH)), true
 	}
 	return phys, false
 }
 
 // physSPFromLogical converts a logical SP back to physical.
 func (t *Task) physSPFromLogical(l uint16) uint16 {
-	return uint16(int(l) - logicalSPBase + int(t.pu))
+	return uint16(int(l) - logicalSPBase + int(t.region.PU))
 }

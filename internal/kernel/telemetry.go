@@ -85,11 +85,7 @@ func (k *Kernel) buildTelemetrySample(at uint64) telemetry.Sample {
 			if now > t.runStart {
 				ts.RunCycles += now - t.runStart
 			}
-			if sp := m.SP(); sp < t.pu {
-				ts.StackUsed = t.pu - 1 - sp
-			} else {
-				ts.StackUsed = 0
-			}
+			ts.StackUsed = t.region.StackUsed(m.SP())
 			if ts.StackUsed > ts.StackPeak {
 				ts.StackPeak = ts.StackUsed
 			}

@@ -31,187 +31,247 @@ func (k *Kernel) handleTrap(m *mcu.Machine, id uint16) error {
 		return fmt.Errorf("kernel: trap %d with no current task", id)
 	}
 	ref := &k.traps[id]
-	if ref.base != t.Base {
+	if ref.Base != t.Base {
 		// The task jumped into another program's code: isolation violation.
 		reason := "control transfer into foreign program"
 		k.recordFault(t, "foreign program", m.PC(), reason)
 		k.terminate(t, reason)
 		return nil
 	}
-	k.Stats.ServiceCalls[ref.class]++
-	t.ServiceCalls[ref.class]++
-
 	// The hardware SP is authoritative while the task runs natively.
-	t.spPhys = m.SP()
-	t.noteStackUse()
+	t.ctr.Enter(ref.Class, m.SP())
 
-	k.curService = ref.class
+	class := rewriter.Class(ref.Class)
+	k.curService = class
 	r := k.Cfg.Trace
 	if r == nil {
-		err := k.dispatch(t, ref)
+		err := k.dispatch(t, id, ref)
 		k.curService = 0
 		return err
 	}
 	site := m.PC()
 	back := uint64(0)
-	if ref.class == rewriter.ClassBranch && ref.backward {
+	if class == rewriter.ClassBranch && ref.Back {
 		back = 1
 	}
 	r.Emit(trace.Event{Cycle: m.Cycles(), Kind: trace.KindTrapEnter,
-		Task: int32(t.ID), Arg: uint64(ref.class), Arg2: back, PC: site})
-	before := k.Stats.ServiceCycles[ref.class]
-	err := k.dispatch(t, ref)
+		Task: int32(t.ID), Arg: uint64(class), Arg2: back, PC: site})
+	before := k.Stats.ServiceCycles[class]
+	err := k.dispatch(t, id, ref)
 	k.curService = 0
 	// Arg2 is the cycles the service proper charged; relocation, switch
 	// and idle cycles inside the window carry their own events, so the
 	// enter-to-exit clock delta decomposes exactly (see trace_cost_test).
 	r.Emit(trace.Event{Cycle: m.Cycles(), Kind: trace.KindTrapExit,
-		Task: int32(t.ID), Arg: uint64(ref.class),
-		Arg2: k.Stats.ServiceCycles[ref.class] - before, PC: site})
+		Task: int32(t.ID), Arg: uint64(class),
+		Arg2: k.Stats.ServiceCycles[class] - before, PC: site})
 	return err
 }
 
 // dispatch routes one validated trap to its service and charges the Table II
 // cycle cost. On return the machine PC points at the continuation the
-// service chose. Hot operands (class, continuation PCs, base cycles) come
-// pre-flattened in ref; the cold services read the patch itself.
-func (k *Kernel) dispatch(t *Task, ref *trapRef) error {
+// service chose. Everything a service needs comes from the trap's
+// descriptor: continuation PCs, the precomputed charge, and the original
+// instruction's operands (Group[0], Addr).
+func (k *Kernel) dispatch(t *Task, id uint16, ref *mcu.TrapDesc) error {
 	m := k.M
-	p := ref.patch
-	base := ref.base
-	switch ref.class {
+	orig := ref.Group[0]
+	switch class := rewriter.Class(ref.Class); class {
 	case rewriter.ClassBranch:
 		k.serviceBranch(t, ref)
 	case rewriter.ClassCall:
-		k.charge(t, ref.class, CostStackCheck, int(ref.baseCyc))
+		k.charge(t, ref)
 		if !k.ensureStack(t, k.Cfg.RedZone+2) {
 			return nil
 		}
-		m.PushWord(uint16(ref.absNext))
+		m.PushWord(uint16(ref.Next))
 		t.spPhys = m.SP()
-		m.SetPC(ref.absTarget)
+		m.SetPC(ref.Target)
 	case rewriter.ClassIndirectCall:
-		k.charge(t, ref.class, CostProgMem+CostStackCheck, int(ref.baseCyc))
+		k.charge(t, ref)
 		if !k.ensureStack(t, k.Cfg.RedZone+2) {
 			return nil
 		}
 		z := m.RegPair(avr.RegZ)
-		m.PushWord(uint16(ref.absNext))
+		m.PushWord(uint16(ref.Next))
 		t.spPhys = m.SP()
-		m.SetPC(base + t.Nat.Shift.Map(uint32(z)))
+		m.SetPC(ref.Base + t.Nat.Shift.Map(uint32(z)))
 	case rewriter.ClassIndirectJump:
-		k.charge(t, ref.class, CostProgMem, int(ref.baseCyc))
+		k.charge(t, ref)
 		z := m.RegPair(avr.RegZ)
-		m.SetPC(base + t.Nat.Shift.Map(uint32(z)))
+		m.SetPC(ref.Base + t.Nat.Shift.Map(uint32(z)))
 	case rewriter.ClassDirectIO:
-		k.charge(t, ref.class, CostDirectIO, int(ref.baseCyc))
-		addr := uint16(p.Orig.Imm)
-		k.watchCheck(t, addr, p.Orig.Op != avr.OpLds)
-		if p.Orig.Op == avr.OpLds {
-			m.SetReg(p.Orig.Dst, m.ReadBus(addr))
+		k.charge(t, ref)
+		k.watchCheck(t, ref.Addr, !orig.Load())
+		if orig.Load() {
+			m.SetReg(orig.Reg, m.ReadBus(ref.Addr))
 		} else {
-			m.WriteBus(addr, m.Reg(p.Orig.Dst))
+			m.WriteBus(ref.Addr, m.Reg(orig.Reg))
 		}
-		m.SetPC(ref.absNext)
+		m.SetPC(ref.Next)
 	case rewriter.ClassReservedIO:
-		k.charge(t, ref.class, CostReservedIO, int(ref.baseCyc))
-		k.watchCheck(t, uint16(p.Orig.Imm), p.Orig.Op != avr.OpLds)
-		k.serviceReservedIO(t, p.Orig)
-		m.SetPC(ref.absNext)
+		k.charge(t, ref)
+		k.watchCheck(t, ref.Addr, !orig.Load())
+		if orig.Load() {
+			// Writes to the kernel-reserved clock are discarded.
+			m.SetReg(orig.Reg, k.virtualTimer3Read(t, ref.Addr))
+		}
+		m.SetPC(ref.Next)
 	case rewriter.ClassDirectMem:
-		k.charge(t, ref.class, CostDirectMem, int(ref.baseCyc))
-		if !k.serviceDirectMem(t, p.Orig) {
+		k.charge(t, ref)
+		if !k.serviceDirectMem(t, ref) {
 			return nil
 		}
-		m.SetPC(ref.absNext)
+		m.SetPC(ref.Next)
 	case rewriter.ClassIndirectMem:
-		if !k.serviceIndirectMem(t, p) {
+		if !k.serviceIndirectMem(t, id, ref) {
 			return nil
 		}
-		m.SetPC(ref.absNext)
+		m.SetPC(ref.Next)
 	case rewriter.ClassSPRead:
-		k.charge(t, ref.class, CostGetSP, int(ref.baseCyc))
+		k.charge(t, ref)
 		logical := t.logicalSP()
 		v := byte(logical)
-		if p.Orig.Imm == int32(ioregs.SPH) {
+		if ref.Addr == ioregs.SPH {
 			v = byte(logical >> 8)
 		}
-		m.SetReg(p.Orig.Dst, v)
-		m.SetPC(ref.absNext)
+		m.SetReg(orig.Reg, v)
+		m.SetPC(ref.Next)
 	case rewriter.ClassSPWrite:
-		k.charge(t, ref.class, CostSetSP, int(ref.baseCyc))
-		if !k.serviceSPWrite(t, p.Orig) {
+		k.charge(t, ref)
+		if !k.serviceSPWrite(t, orig.Reg, ref.Addr) {
 			return nil
 		}
-		m.SetPC(ref.absNext)
+		m.SetPC(ref.Next)
 	case rewriter.ClassSleep:
-		k.charge(t, ref.class, CostSleep, int(ref.baseCyc))
+		k.charge(t, ref)
 		t.state = TaskSleeping
 		t.wakeAt = m.Cycles() + k.Cfg.SleepQuantum
 		if k.Cfg.Trace != nil {
 			k.Cfg.Trace.Emit(trace.Event{Cycle: m.Cycles(), Kind: trace.KindSleep,
 				Task: int32(t.ID), Arg: t.wakeAt})
 		}
-		k.schedule(ref.absNext)
+		k.schedule(ref.Next)
 	case rewriter.ClassLpm:
-		k.charge(t, ref.class, CostProgMem, int(ref.baseCyc))
-		k.serviceLpm(t, p.Orig, base)
-		m.SetPC(ref.absNext)
+		k.charge(t, ref)
+		k.serviceLpm(t, orig, ref.Base)
+		m.SetPC(ref.Next)
 	case rewriter.ClassExit:
 		k.terminate(t, "exited")
 	default:
-		return fmt.Errorf("kernel: unhandled service class %v", ref.class)
+		return fmt.Errorf("kernel: unhandled service class %v", class)
 	}
 	return nil
 }
 
-// charge accounts a service: the original instruction's own cycles
-// (baseCycles, precomputed into the trap ref) plus the kernel overhead,
-// minus the one cycle the KTRAP fetch already cost. The per-class ledgers
-// record the in-window charge (ServiceCycles) and the Table II overhead
-// alone (ServiceOverhead); the latter also accrues on the task, attributing
-// kernel time to who caused it.
-func (k *Kernel) charge(t *Task, class rewriter.Class, overhead, baseCycles int) {
-	total := baseCycles + overhead - 1
-	charged := uint64(0)
-	if total > 0 {
-		charged = uint64(total)
-		k.M.AddCycles(charged)
-		k.Stats.ServiceCycles[class] += charged
+// overheads is the Table II overhead each service class is booked with;
+// an indirect group's depends on its length and where it lands (describe).
+var overheads = [numClasses]int{
+	rewriter.ClassBranch:       CostBranchTrap,
+	rewriter.ClassCall:         CostStackCheck,
+	rewriter.ClassIndirectCall: CostProgMem + CostStackCheck,
+	rewriter.ClassIndirectJump: CostProgMem,
+	rewriter.ClassLpm:          CostProgMem,
+	rewriter.ClassDirectIO:     CostDirectIO,
+	rewriter.ClassReservedIO:   CostReservedIO,
+	rewriter.ClassDirectMem:    CostDirectMem,
+	rewriter.ClassSPRead:       CostGetSP,
+	rewriter.ClassSPWrite:      CostSetSP,
+	rewriter.ClassSleep:        CostSleep,
+}
+
+// split is the rule every service is charged by: the clock advances by the
+// original instructions' own cycles plus the kernel overhead, minus the one
+// cycle the KTRAP fetch already cost.
+func split(baseCycles, overhead int) uint64 {
+	return uint64(max(baseCycles+overhead-1, 0))
+}
+
+// describe builds the descriptor of patch p loaded at base: continuation
+// and target, branch evaluation, the precomputed charge, and the original
+// accesses. The fused tier serves branches, calls, direct SRAM accesses,
+// and indirect groups under the rewriter's grouping rule (classifyUnit):
+// one shared pointer, loaded into by the last access alone, so every
+// address follows from the pointer before the group runs.
+func describe(p *rewriter.Patch, base uint32) mcu.TrapDesc {
+	d := mcu.TrapDesc{Base: base, Next: base + p.NatNext, Target: base + p.NatTarget,
+		Addr: uint16(p.Orig.Imm), Class: uint8(p.Class), Back: p.Backward}
+	switch p.Orig.Op {
+	case avr.OpBrbs:
+		d.Br, d.Mask = mcu.BrSet, 1<<(p.Orig.Src&7)
+	case avr.OpBrbc:
+		d.Br, d.Mask = mcu.BrClr, 1<<(p.Orig.Src&7)
 	}
-	k.Stats.ServiceOverhead[class] += uint64(overhead)
-	t.KernelCycles += uint64(overhead)
+	baseCycles, over := 0, overheads[p.Class]
+	fits := len(p.Group) <= len(d.Group)
+	if fits {
+		d.N = uint8(len(p.Group))
+	}
+	ptr, _ := p.Orig.PointerReg()
+	shared := fits
+	for i, in := range p.Group {
+		baseCycles += in.Op.BaseCycles()
+		if fits {
+			d.Group[i] = mcu.Member{Op: in.Op, Reg: in.Dst, Disp: uint8(in.Imm)}
+		}
+		if pi, _ := in.PointerReg(); pi != ptr || i < len(p.Group)-1 && in.IsLoad() && in.Dst|1 == ptr|1 {
+			shared = false
+		}
+	}
+	switch p.Class {
+	case rewriter.ClassBranch:
+		d.Serve = mcu.ServeBranch
+	case rewriter.ClassCall:
+		d.Serve = mcu.ServeCall
+	case rewriter.ClassDirectMem:
+		d.Serve = mcu.ServeDirectMem
+	case rewriter.ClassIndirectMem:
+		over = CostIndHeap + CostGroupExtra*(len(p.Group)-1)
+		d.StackExtra = CostIndStack - CostIndHeap
+		if shared {
+			d.Serve = mcu.ServeIndirectMem
+		}
+	}
+	d.Charge, d.Overhead = uint16(split(baseCycles, over)), uint16(over)
+	return d
+}
+
+// charge books a fixed-cost service from its descriptor.
+func (k *Kernel) charge(t *Task, ref *mcu.TrapDesc) {
+	k.book(t, rewriter.Class(ref.Class), uint64(ref.Charge), uint64(ref.Overhead))
+}
+
+// book accounts a service: charged cycles go on the clock and the class's
+// in-window ledger (ServiceCycles), the Table II overhead alone on
+// ServiceOverhead and on the task, attributing kernel time to who caused it.
+func (k *Kernel) book(t *Task, class rewriter.Class, charged, overhead uint64) {
+	t.ctr.Book(k.M, uint8(class), charged, overhead)
 	if k.prof != nil {
 		// Charges happen before the service sets the continuation PC, so
 		// the machine PC is still the trap site.
-		k.prof.OnService(int32(t.ID), class, k.M.PC(), uint64(overhead), charged)
+		k.prof.OnService(int32(t.ID), class, k.M.PC(), overhead, charged)
 	}
-}
-
-// chargeExtra accounts additional native cycles inside a service (e.g. the
-// branch-taken penalty) that are not kernel overhead.
-func (k *Kernel) chargeExtra(class rewriter.Class, n uint64) {
-	k.M.AddCycles(n)
-	k.Stats.ServiceCycles[class] += n
 }
 
 // serviceBranch implements the patched-branch service: evaluate the branch
 // against live flags, count backward branches toward the 1-of-256 software
-// trap, and preempt when the time slice has expired (Section IV-B). It is
-// the hottest service by far — every patched branch traps — so it runs
-// entirely off the flattened trap ref.
-func (k *Kernel) serviceBranch(t *Task, ref *trapRef) {
+// trap, and preempt when the time slice has expired (Section IV-B). The
+// fused tier serves every branch that does not reach the slice check
+// itself, exactly as here.
+func (k *Kernel) serviceBranch(t *Task, ref *mcu.TrapDesc) {
 	m := k.M
-	k.charge(t, rewriter.ClassBranch, CostBranchTrap, int(ref.baseCyc))
-	next := ref.absNext
-	if ref.taken(m.SREG()) {
-		next = ref.absTarget
-		k.chargeExtra(rewriter.ClassBranch, 1) // branch-taken penalty, as on hardware
+	k.charge(t, ref)
+	next := ref.Next
+	if ref.Taken(m.SREG()) {
+		next = ref.Target
+		// The branch-taken penalty, as on hardware: native cycles, no
+		// kernel overhead.
+		t.ctr.Book(m, ref.Class, 1, 0)
 		if k.prof != nil {
 			k.prof.OnAppExtra(int32(t.ID), m.PC(), 1)
 		}
 	}
-	if ref.backward {
+	if ref.Back {
 		k.Stats.BranchTraps++
 		if t.branchLeft--; t.branchLeft == 0 {
 			t.branchLeft = k.Cfg.BranchInterval
@@ -252,49 +312,36 @@ func (k *Kernel) repeatTrap(m *mcu.Machine, id uint16, n uint64) uint64 {
 		return 0
 	}
 	ref := &k.traps[id]
-	if ref.class != rewriter.ClassBranch || ref.base != t.Base || t.sliceStart == m.Cycles() {
+	class := rewriter.Class(ref.Class)
+	if class != rewriter.ClassBranch || ref.Base != t.Base || t.sliceStart == m.Cycles() {
 		return 0
 	}
-	if ref.backward {
+	if ref.Back {
 		n = min(n, uint64(t.branchLeft-1))
 		k.Stats.BranchTraps += n
 		t.branchLeft -= uint32(n)
 	}
-	charged := uint64(0)
-	if total := int(ref.baseCyc) + CostBranchTrap - 1; total > 0 {
-		charged = uint64(total)
-	}
-	if ref.taken(m.SREG()) {
+	charged := uint64(ref.Charge)
+	if ref.Taken(m.SREG()) {
 		charged++
 	}
-	k.Stats.ServiceCalls[ref.class] += n
-	t.ServiceCalls[ref.class] += n
-	k.Stats.ServiceCycles[ref.class] += n * charged
-	k.Stats.ServiceOverhead[ref.class] += n * CostBranchTrap
-	t.KernelCycles += n * CostBranchTrap
+	k.Stats.ServiceCalls[class] += n
+	t.ServiceCalls[class] += n
+	k.Stats.ServiceCycles[class] += n * charged
+	k.Stats.ServiceOverhead[class] += n * uint64(ref.Overhead)
+	t.KernelCycles += n * uint64(ref.Overhead)
 	return n
-}
-
-// taken evaluates a branch trap against the flags in sreg.
-func (r *trapRef) taken(sreg byte) bool {
-	switch r.brKind {
-	case brSet:
-		return sreg&r.brMask != 0
-	case brClr:
-		return sreg&r.brMask == 0
-	}
-	return true
 }
 
 // ensureStack guarantees need bytes of stack headroom, relocating regions or
 // terminating the task. It returns false when the task was terminated.
 func (k *Kernel) ensureStack(t *Task, need uint16) bool {
-	if t.spPhys >= t.ph && t.spPhys-t.ph >= need {
+	if t.region.Room(t.spPhys, need) {
 		return true
 	}
 	grow := need
-	if t.spPhys < t.ph {
-		grow += t.ph - t.spPhys
+	if t.spPhys < t.region.PH {
+		grow += t.region.PH - t.spPhys
 	}
 	if k.growStack(t, grow) {
 		return true
@@ -317,72 +364,58 @@ func (k *Kernel) watchCheck(t *Task, logical uint16, write bool) {
 
 // serviceDirectMem executes a translated LDS/STS to the heap (or stack) and
 // reports whether the task survived.
-func (k *Kernel) serviceDirectMem(t *Task, in avr.Inst) bool {
-	k.watchCheck(t, uint16(in.Imm), in.Op != avr.OpLds)
-	phys, kind := t.translate(uint16(in.Imm))
-	if kind != accessHeap && kind != accessStack {
-		k.faultTask(t, uint16(in.Imm))
+func (k *Kernel) serviceDirectMem(t *Task, ref *mcu.TrapDesc) bool {
+	orig := ref.Group[0]
+	k.watchCheck(t, ref.Addr, !orig.Load())
+	phys, kind := t.region.Translate(ref.Addr)
+	if kind != mcu.AccessHeap && kind != mcu.AccessStack {
+		k.faultTask(t, ref.Addr)
 		return false
 	}
-	if in.Op == avr.OpLds {
-		k.M.SetReg(in.Dst, k.M.Peek(phys))
-	} else {
-		k.M.Poke(phys, k.M.Reg(in.Dst))
-	}
+	k.M.Move(orig, phys)
 	return true
 }
 
 // serviceIndirectMem executes a (possibly grouped) run of indirect memory
-// accesses with one shared translation (Section IV-C2). Returns false when
-// the task was terminated by an invalid access.
-func (k *Kernel) serviceIndirectMem(t *Task, p *rewriter.Patch) bool {
+// accesses with one shared translation (Section IV-C2), access by access,
+// so an invalid address terminates the task with the accesses before it
+// done and charged. Returns false when the task was terminated.
+func (k *Kernel) serviceIndirectMem(t *Task, id uint16, ref *mcu.TrapDesc) bool {
 	m := k.M
-	cycles := -1 // the KTRAP fetch already charged one
+	group := ref.Group[:ref.N]
+	if ref.N == 0 {
+		group = k.longGroup(id)
+	}
 	sumBase := 0 // what the unpatched accesses would have cost natively
-	for idx, in := range p.Group {
-		ptr, _ := in.PointerReg()
-		v := m.RegPair(ptr)
-		var (
-			logical uint16
-			wb      bool
-			wbVal   uint16
-		)
-		switch in.Op {
-		case avr.OpLdXInc, avr.OpLdYInc, avr.OpLdZInc,
-			avr.OpStXInc, avr.OpStYInc, avr.OpStZInc:
-			logical, wb, wbVal = v, true, v+1
-		case avr.OpLdXDec, avr.OpLdYDec, avr.OpLdZDec,
-			avr.OpStXDec, avr.OpStYDec, avr.OpStZDec:
-			logical, wb, wbVal = v-1, true, v-1
-		case avr.OpLddY, avr.OpLddZ, avr.OpStdY, avr.OpStdZ:
-			logical = v + uint16(in.Imm)
-		default:
-			logical = v
-		}
-		k.watchCheck(t, logical, !in.IsLoad())
-		phys, kind := t.translate(logical)
-		if kind == accessInvalid {
-			k.accountIndirect(t, cycles+1, sumBase)
+	over := 0    // the kernel overhead so far
+	for idx, g := range group {
+		ptr := g.Pointer()
+		logical, wb, wbVal := g.Addr(m.RegPair(ptr))
+		k.watchCheck(t, logical, !g.Load())
+		phys, kind := t.region.Translate(logical)
+		if kind == mcu.AccessInvalid {
+			// A partial group is charged its KTRAP fetch cycle back.
+			k.book(t, rewriter.ClassIndirectMem, split(sumBase, over+1), uint64(over+1))
 			k.faultTask(t, logical)
 			return false
 		}
-		if in.IsLoad() {
+		if g.Load() {
 			var b byte
 			switch {
-			case kind == accessIO && rewriter.ReservedDataAddr(logical):
+			case kind == mcu.AccessIO && rewriter.ReservedDataAddr(logical):
 				b = k.virtualTimer3Read(t, logical)
-			case kind == accessIO:
+			case kind == mcu.AccessIO:
 				b = m.ReadBus(phys)
 			default:
 				b = m.Peek(phys)
 			}
-			m.SetReg(in.Dst, b)
+			m.SetReg(g.Reg, b)
 		} else {
-			b := m.Reg(in.Dst)
+			b := m.Reg(g.Reg)
 			switch {
-			case kind == accessIO && rewriter.ReservedDataAddr(logical):
+			case kind == mcu.AccessIO && rewriter.ReservedDataAddr(logical):
 				// Writes to the kernel-reserved clock are ignored.
-			case kind == accessIO:
+			case kind == mcu.AccessIO:
 				m.WriteBus(phys, b)
 			default:
 				m.Poke(phys, b)
@@ -391,52 +424,43 @@ func (k *Kernel) serviceIndirectMem(t *Task, p *rewriter.Patch) bool {
 		if wb {
 			m.SetRegPair(ptr, wbVal)
 		}
-		cycles += in.Op.BaseCycles()
-		sumBase += in.Op.BaseCycles()
-		if idx == 0 {
-			switch kind {
-			case accessIO:
-				cycles += CostIndIO
-			case accessHeap:
-				cycles += CostIndHeap
-			default:
-				cycles += CostIndStack
-			}
-		} else {
-			cycles += CostGroupExtra
+		sumBase += g.Op.BaseCycles()
+		switch {
+		case idx > 0:
+			over += CostGroupExtra
+		case kind == mcu.AccessIO:
+			over += CostIndIO
+		case kind == mcu.AccessHeap:
+			over += CostIndHeap
+		default:
+			over += CostIndStack
 		}
 	}
-	k.accountIndirect(t, cycles, sumBase)
+	k.book(t, rewriter.ClassIndirectMem, split(sumBase, over), uint64(over))
 	return true
 }
 
-// accountIndirect charges the accumulated indirect-memory service cycles and
-// books the overhead: the in-window charge plus the already-spent KTRAP fetch
-// cycle, minus what the unpatched accesses would have cost natively.
-func (k *Kernel) accountIndirect(t *Task, total, sumBase int) {
-	charged := uint64(0)
-	if total > 0 {
-		charged = uint64(total)
-		k.M.AddCycles(charged)
-		k.Stats.ServiceCycles[rewriter.ClassIndirectMem] += charged
+// longGroup returns the accesses of trap id's group when it is longer than
+// a descriptor holds (a rewriter GroupLimit above four).
+func (k *Kernel) longGroup(id uint16) []mcu.Member {
+	for _, lp := range k.progs {
+		if i := int(id) - lp.idBase; i >= 0 && i < len(lp.nat.Patches) {
+			group := make([]mcu.Member, len(lp.nat.Patches[i].Group))
+			for j, in := range lp.nat.Patches[i].Group {
+				group[j] = mcu.Member{Op: in.Op, Reg: in.Dst, Disp: uint8(in.Imm)}
+			}
+			return group
+		}
 	}
-	overhead := uint64(0)
-	if over := total + 1 - sumBase; over > 0 {
-		overhead = uint64(over)
-		k.Stats.ServiceOverhead[rewriter.ClassIndirectMem] += overhead
-		t.KernelCycles += overhead
-	}
-	if k.prof != nil {
-		k.prof.OnService(int32(t.ID), rewriter.ClassIndirectMem, k.M.PC(), overhead, charged)
-	}
+	return nil
 }
 
 // serviceSPWrite assembles the task's logical SP byte-wise and commits the
 // translated physical SP, growing the stack when the new frame would breach
 // the red zone (Section IV-C2/C3).
-func (k *Kernel) serviceSPWrite(t *Task, in avr.Inst) bool {
-	v := k.M.Reg(in.Dst)
-	if in.Imm == int32(ioregs.SPL) {
+func (k *Kernel) serviceSPWrite(t *Task, reg uint8, addr uint16) bool {
+	v := k.M.Reg(reg)
+	if addr == ioregs.SPL {
 		t.spShadow = t.spShadow&0xFF00 | uint16(v)
 	} else {
 		t.spShadow = t.spShadow&0x00FF | uint16(v)<<8
@@ -448,16 +472,9 @@ func (k *Kernel) serviceSPWrite(t *Task, in avr.Inst) bool {
 	return k.ensureStack(t, k.Cfg.RedZone)
 }
 
-// serviceReservedIO virtualizes the kernel-reserved Timer3 registers: reads
-// return the global clock (with hardware-style high-byte latching); writes
-// are discarded (Section IV-A).
-func (k *Kernel) serviceReservedIO(t *Task, in avr.Inst) {
-	if in.Op != avr.OpLds {
-		return
-	}
-	k.M.SetReg(in.Dst, k.virtualTimer3Read(t, uint16(in.Imm)))
-}
-
+// virtualTimer3Read virtualizes a read of the kernel-reserved Timer3
+// registers: the global clock, with hardware-style high-byte latching
+// (Section IV-A).
 func (k *Kernel) virtualTimer3Read(t *Task, addr uint16) byte {
 	switch addr {
 	case ioregs.TCNT3L:
@@ -472,14 +489,13 @@ func (k *Kernel) virtualTimer3Read(t *Task, addr uint16) byte {
 
 // serviceLpm performs a program-memory data access with address translation
 // through the shift table.
-func (k *Kernel) serviceLpm(t *Task, in avr.Inst, base uint32) {
+func (k *Kernel) serviceLpm(t *Task, orig mcu.Member, base uint32) {
 	m := k.M
 	z := m.RegPair(avr.RegZ)
 	natByte := t.Nat.Shift.MapByte(z) + base*2
 	v := m.FlashByte(natByte)
-	dst := in.Dst // OpLpm has Dst 0, which is the implied r0
-	m.SetReg(dst, v)
-	if in.Op == avr.OpLpmZInc {
+	m.SetReg(orig.Reg, v) // OpLpm has Dst 0, which is the implied r0
+	if orig.Op == avr.OpLpmZInc {
 		m.SetRegPair(avr.RegZ, z+1)
 	}
 }

@@ -97,12 +97,9 @@ func (m *Machine) popByte() byte {
 // grow-and-retry recovery replays the instruction from pristine state instead
 // of landing the return address one byte low and leaking the partial write.
 func (m *Machine) pushWord(w uint16) {
-	if m.guardOn {
-		sp := m.SP()
-		if sp < m.guardLo+1 || sp >= m.guardHi {
-			m.faultf(FaultStackOverflow, sp, "push outside task region")
-			return
-		}
+	if sp := m.SP(); !m.wordFits(sp) {
+		m.faultf(FaultStackOverflow, sp, "push outside task region")
+		return
 	}
 	m.pushByte(byte(w))
 	m.pushByte(byte(w >> 8))

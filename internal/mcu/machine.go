@@ -160,6 +160,12 @@ type Machine struct {
 	trap   TrapHandler
 	repeat TrapRepeater
 
+	// traps and task are the kernel's published trap descriptors and the
+	// running task's counter block (service.go); a nil task leaves every
+	// trap to the handler.
+	traps []TrapDesc
+	task  *TaskBlock
+
 	// rec, when non-nil, receives cycle-stamped machine events (interrupt
 	// delivery, idle advances, halts, budget expiry). The nil state is the
 	// disabled state: every emission site is a single pointer comparison.

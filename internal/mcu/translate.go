@@ -210,6 +210,7 @@ type translator struct {
 	dispatches  uint64
 	fusedInsts  uint64
 	spinInsts   uint64
+	inBlock     uint64
 
 	idx [numPages]*page[int32]
 }
@@ -292,6 +293,9 @@ type TranslationStats struct {
 	FusedDispatches uint64
 	FusedInsts      uint64
 	SpinInsts       uint64
+	// InBlockTraps counts kernel traps whose service a trap terminator ran
+	// itself (serve) instead of entering the kernel.
+	InBlockTraps uint64
 }
 
 // TranslationStats returns the block-cache counters.
@@ -309,6 +313,7 @@ func (m *Machine) TranslationStats() TranslationStats {
 		FusedDispatches: m.xl.dispatches,
 		FusedInsts:      m.xl.fusedInsts,
 		SpinInsts:       m.xl.spinInsts,
+		InBlockTraps:    m.xl.inBlock,
 	}
 }
 
@@ -814,15 +819,17 @@ func (b *block) nextPC(i int) uint32 {
 // consecutive blocks, and are flushed only at kernel traps (whose services
 // observe machine state), at dispatch-table terminators, and on exit. Fault
 // paths flush before their guarded helpers exactly as Step would. A trap
-// terminator calls the handler directly with everything flushed — exactly
-// execKtrap — then re-checks the ladder (halt=true: the caller must hand
-// control back to the ladder). Returns halt=false on a cold or dead leader
-// or a block that does not fit: RunUntil then Steps to the next control
-// transfer.
+// terminator first offers the trap to serve, which runs the four hot
+// services in-block; a served trap keeps the chain going unless its charge
+// brought the clock to the due cycle. Any other trap calls the handler
+// directly with everything flushed — exactly execKtrap — then re-checks the
+// ladder (halt=true: the caller must hand control back to the ladder).
+// Returns halt=false on a cold or dead leader or a block that does not fit:
+// RunUntil then Steps to the next control transfer.
 func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 	x := m.xl
 	sreg := m.data[addrSREG]
-	var done, fused, iters uint64
+	var done, fused, iters, served uint64
 	var b *block
 	// The first cycle a block body must not reach. Fused ops cannot move
 	// dev.nextEvent or arm a hook, so stop stays valid across chained
@@ -1283,6 +1290,18 @@ loop:
 			case b.termKind == tkSkipTrap: // not taken: the fused trap executes
 				done++
 				m.cycle = c + uint64(b.termJCyc)
+				if m.serve(b.termA, sreg) {
+					served++
+					if m.cycle >= m.due {
+						m.data[addrSREG] = sreg
+						halt = true
+						break loop
+					}
+					if b.poll && m.pc == b.leader {
+						done += m.spin(b, start, stop)
+					}
+					break
+				}
 				m.pc = b.fallPC
 				m.data[addrSREG] = sreg
 				m.insts += done
@@ -1313,13 +1332,24 @@ loop:
 				m.pc = b.fallPC
 			}
 		case tkTrap:
-			// The kernel trap runs with everything flushed, exactly as
-			// execKtrap does under Step. The service may fault, sleep,
-			// switch tasks, move the horizon, or arm or bring due a hook —
-			// re-check the ladder, and only keep dispatching when none of
-			// it fired.
+			// A served trap moves no device event and arms no hook, so
+			// only its charge can end the chain: at the due cycle the
+			// ladder takes over, as after the kernel. Any other trap runs
+			// in the kernel with everything flushed, exactly as execKtrap
+			// does under Step. The service may fault, sleep, switch tasks,
+			// move the horizon, or arm or bring due a hook — re-check the
+			// ladder, and only keep dispatching when none of it fired.
 			done++
 			m.cycle = start + uint64(b.bodyCycles) + uint64(b.termCyc)
+			if m.serve(b.termA, sreg) {
+				served++
+				if m.cycle >= m.due {
+					m.data[addrSREG] = sreg
+					halt = true
+					break loop
+				}
+				break
+			}
 			m.pc = b.termPC
 			m.data[addrSREG] = sreg
 			m.insts += done
@@ -1366,6 +1396,7 @@ loop:
 	m.insts += done
 	x.dispatches += iters
 	x.fusedInsts += fused + done
+	x.inBlock += served
 	return halt, err
 }
 
