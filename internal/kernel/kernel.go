@@ -140,12 +140,10 @@ var (
 	ErrBooted = errors.New("kernel: already booted")
 )
 
-// loadedProg tracks one naturalized program placed in flash; its patches
-// hold trap ids idBase onward.
+// loadedProg tracks one naturalized program placed in flash.
 type loadedProg struct {
-	nat    *rewriter.Naturalized
-	base   uint32
-	idBase int
+	nat  *rewriter.Naturalized
+	base uint32
 }
 
 // Kernel is one SenSmart instance bound to a machine.
@@ -324,7 +322,13 @@ func (k *Kernel) loadProgram(nat *rewriter.Naturalized) (*loadedProg, error) {
 	if idBase+len(nat.Patches) > 0x10000 {
 		return nil, fmt.Errorf("kernel: trap id space exhausted loading %s", nat.Program.Name)
 	}
-	lp := &loadedProg{nat: nat, base: base, idBase: idBase}
+	for _, p := range nat.Patches {
+		if len(p.Group) > rewriter.MaxGroup {
+			return nil, fmt.Errorf("kernel: %s: group of %d accesses at %#x, at most %d",
+				nat.Program.Name, len(p.Group), p.NatPC, rewriter.MaxGroup)
+		}
+	}
+	lp := &loadedProg{nat: nat, base: base}
 	k.progs = append(k.progs, lp)
 	for _, p := range nat.Patches {
 		words[p.NatPC+1] = uint16(idBase)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"unsafe"
 
-	"repro/internal/avr/asm"
 	"repro/internal/mcu"
 	"repro/internal/rewriter"
 )
@@ -30,7 +29,9 @@ type tierRun struct {
 	faults        []FaultRecord
 	tasks         []string
 	stats         Stats
-	traps, served uint64 // kernel services booked, and those served in-block
+	// Kernel services booked, those served in-block, and those booked by
+	// the poll-loop repeater.
+	traps, served, repeated uint64
 }
 
 // runTier boots one task per source under cfg, on the stepwise reference or
@@ -42,6 +43,12 @@ func runTier(t *testing.T, cfg Config, nats []*rewriter.Naturalized, stepwise bo
 	m.SetStepwise(stepwise)
 	m.SetTranslation(1)
 	k := New(m, cfg)
+	var repeated uint64
+	m.SetTrapHandler(k.handleTrap, func(m *mcu.Machine, id uint16, n uint64) uint64 {
+		n = k.repeatTrap(m, id, n)
+		repeated += n
+		return n
+	})
 	for i, nat := range nats {
 		if _, err := k.AddTask(nat.Program.Name+suffix(i), nat); err != nil {
 			t.Fatal(err)
@@ -55,7 +62,7 @@ func runTier(t *testing.T, cfg Config, nats []*rewriter.Naturalized, stepwise bo
 	}
 	r := tierRun{cycles: m.Cycles(), insts: m.Instructions(), pc: m.PC(),
 		metrics: k.Metrics().Render(), faults: k.FaultLog, stats: k.Stats,
-		served: m.TranslationStats().InBlockTraps}
+		served: m.TranslationStats().InBlockTraps, repeated: repeated}
 	for i := range r.regs {
 		r.regs[i] = m.Reg(uint8(i))
 	}
@@ -70,12 +77,47 @@ func runTier(t *testing.T, cfg Config, nats []*rewriter.Naturalized, stepwise bo
 	return r
 }
 
+// TestLoadRefusesLongGroup: a descriptor holds at most rewriter.MaxGroup
+// accesses, so admission refuses a hand-built image with a longer group.
+func TestLoadRefusesLongGroup(t *testing.T) {
+	nat := naturalize(t, "group", `
+.data
+buf: .space 8
+.text
+main:
+    ldi r26, lo8(buf)
+    ldi r27, hi8(buf)
+    st X+, r16
+    break
+`)
+	long := *nat
+	long.Patches = nil
+	for _, p := range nat.Patches {
+		q := *p
+		if q.Class == rewriter.ClassIndirectMem {
+			q.Group = q.Group[:1:1] // appends copy: nat keeps its group
+			for len(q.Group) <= rewriter.MaxGroup {
+				q.Group = append(q.Group, q.Group[0])
+			}
+		}
+		long.Patches = append(long.Patches, &q)
+	}
+	k := New(mcu.New(), Config{})
+	if _, err := k.AddTask("long", &long); err == nil || !strings.Contains(err.Error(), "group of 5") {
+		t.Fatalf("AddTask = %v, want a refused group of 5", err)
+	}
+	if _, err := k.AddTask("group", nat); err != nil {
+		t.Fatalf("the unedited image: %v", err)
+	}
+}
+
 // TestInBlockServiceDeclines holds the fused tier's in-block trap service to
 // the stepwise kernel on every path where it must decline: each row runs
 // stepwise and on the fused tier at threshold 1 (every trap reached in a
 // block), the two runs must leave identical clocks, registers, metrics,
 // fault logs and ledgers, and the traps the fused run left to the kernel
-// must be exactly the ones the row makes need it.
+// must be exactly the ones the row makes need it. Poll-loop repeats enter
+// neither side: the repeater books them.
 func TestInBlockServiceDeclines(t *testing.T) {
 	const groupSrc = `
 .data
@@ -146,23 +188,22 @@ loop:
     brne loop
     break
 `
-	const longSrc = `
-.data
-buf: .space 6
-.text
+	// The wait's conditional backward branch is taken on a flag set in an
+	// earlier block of the same chain, which no kernel entry has flushed:
+	// the repeater must price the fast-forwarded iterations from it.
+	const pollSrc = `
 main:
-    ldi r17, 3
-loop:
-    ldi r26, lo8(buf)
-    ldi r27, hi8(buf)
-    st X+, r17
-    st X+, r17
-    st X+, r17
-    st X+, r17
-    st X+, r17
-    st X+, r17
-    dec r17
-    brne loop
+    ldi r20, 8
+next:
+    out RDR, r20
+    ldi r17, 1
+    dec r17           ; Z set
+txw:
+    in r16, RSR
+    sbrs r16, 0
+    breq txw          ; taken while the radio is busy
+    dec r20
+    brne next
     break
 `
 	recurse := naturalize(t, "recurse", recurseSrc)
@@ -191,6 +232,7 @@ loop:
 		// to the kernel, given the reference run's kernel stats.
 		declined func(st Stats) uint64
 		want     string // a task's exit reason must contain this
+		repeats  bool   // the fused run must fast-forward a trap-closed poll loop
 	}{
 		{name: "group leaves the heap at its second access",
 			nats: func(t *testing.T) []*rewriter.Naturalized {
@@ -221,25 +263,17 @@ loop:
 			// count's exit. The foreign trap books no service: that the
 			// kernel saw it shows in the hijacker's exit reason.
 			declined: func(Stats) uint64 { return 1 }, want: "foreign program"},
-		{name: "group longer than a descriptor holds",
-			nats: func(t *testing.T) []*rewriter.Naturalized {
-				p, err := asm.Assemble("long", longSrc)
-				if err != nil {
-					t.Fatal(err)
-				}
-				nat, err := rewriter.Rewrite(p, rewriter.Config{GroupLimit: 6})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return []*rewriter.Naturalized{nat}
-			},
-			// Per iteration the six-access group; then the exit.
-			declined: func(Stats) uint64 { return 3 + 1 }, want: "exited"},
 		{name: "group whose last access loads its pointer",
 			nats: func(t *testing.T) []*rewriter.Naturalized {
 				return []*rewriter.Naturalized{naturalize(t, "ownptr", ownPtrSrc)}
 			},
 			declined: func(Stats) uint64 { return 1 }, want: "exited"},
+		{name: "poll loop on a flag of an earlier block",
+			nats: func(t *testing.T) []*rewriter.Naturalized {
+				return []*rewriter.Naturalized{naturalize(t, "poll", pollSrc)}
+			},
+			// Every slice check, then the exit.
+			declined: func(st Stats) uint64 { return st.SliceChecks + 1 }, want: "exited", repeats: true},
 	}
 	for _, row := range rows {
 		t.Run(row.name, func(t *testing.T) {
@@ -249,14 +283,21 @@ loop:
 			if ref.served != 0 {
 				t.Fatalf("the stepwise run served %d traps in-block", ref.served)
 			}
-			if want := row.declined(ref.stats); got.traps-got.served != want || got.served == 0 {
+			if ref.repeated != 0 {
+				t.Fatalf("the stepwise run repeated %d traps", ref.repeated)
+			}
+			if row.repeats && got.repeated == 0 {
+				t.Error("the fused run fast-forwarded no poll iteration")
+			}
+			left := got.traps - got.served - got.repeated
+			if want := row.declined(ref.stats); left != want || got.served == 0 {
 				t.Errorf("fused run left %d of %d traps to the kernel, want %d (and some served in-block)",
-					got.traps-got.served, got.traps, want)
+					left, got.traps, want)
 			}
 			if !strings.Contains(strings.Join(ref.tasks, "\n"), row.want) {
 				t.Errorf("no task exit reason contains %q:\n%s", row.want, strings.Join(ref.tasks, "\n"))
 			}
-			ref.served, got.served = 0, 0
+			ref.served, got.served, got.repeated = 0, 0, 0
 			if !reflect.DeepEqual(got, ref) {
 				t.Errorf("fused run differs from the stepwise run:\nfused    %+v\nstepwise %+v", got, ref)
 			}

@@ -124,7 +124,7 @@ func (k *Kernel) dispatch(t *Task, id uint16, ref *mcu.TrapDesc) error {
 		}
 		m.SetPC(ref.Next)
 	case rewriter.ClassIndirectMem:
-		if !k.serviceIndirectMem(t, id, ref) {
+		if !k.serviceIndirectMem(t, ref) {
 			return nil
 		}
 		m.SetPC(ref.Next)
@@ -187,6 +187,10 @@ func split(baseCycles, overhead int) uint64 {
 	return uint64(max(baseCycles+overhead-1, 0))
 }
 
+// A descriptor holds every access of the longest group the rewriter forms
+// (the array length goes negative, failing the build, if it cannot).
+var _ [len(mcu.TrapDesc{}.Group) - rewriter.MaxGroup]struct{}
+
 // describe builds the descriptor of patch p loaded at base: continuation
 // and target, branch evaluation, the precomputed charge, and the original
 // accesses. The fused tier serves branches, calls, direct SRAM accesses,
@@ -203,17 +207,12 @@ func describe(p *rewriter.Patch, base uint32) mcu.TrapDesc {
 		d.Br, d.Mask = mcu.BrClr, 1<<(p.Orig.Src&7)
 	}
 	baseCycles, over := 0, overheads[p.Class]
-	fits := len(p.Group) <= len(d.Group)
-	if fits {
-		d.N = uint8(len(p.Group))
-	}
+	d.N = uint8(len(p.Group))
 	ptr, _ := p.Orig.PointerReg()
-	shared := fits
+	shared := true
 	for i, in := range p.Group {
 		baseCycles += in.Op.BaseCycles()
-		if fits {
-			d.Group[i] = mcu.Member{Op: in.Op, Reg: in.Dst, Disp: uint8(in.Imm)}
-		}
+		d.Group[i] = mcu.Member{Op: in.Op, Reg: in.Dst, Disp: uint8(in.Imm)}
 		if pi, _ := in.PointerReg(); pi != ptr || i < len(p.Group)-1 && in.IsLoad() && in.Dst|1 == ptr|1 {
 			shared = false
 		}
@@ -380,12 +379,9 @@ func (k *Kernel) serviceDirectMem(t *Task, ref *mcu.TrapDesc) bool {
 // accesses with one shared translation (Section IV-C2), access by access,
 // so an invalid address terminates the task with the accesses before it
 // done and charged. Returns false when the task was terminated.
-func (k *Kernel) serviceIndirectMem(t *Task, id uint16, ref *mcu.TrapDesc) bool {
+func (k *Kernel) serviceIndirectMem(t *Task, ref *mcu.TrapDesc) bool {
 	m := k.M
 	group := ref.Group[:ref.N]
-	if ref.N == 0 {
-		group = k.longGroup(id)
-	}
 	sumBase := 0 // what the unpatched accesses would have cost natively
 	over := 0    // the kernel overhead so far
 	for idx, g := range group {
@@ -438,21 +434,6 @@ func (k *Kernel) serviceIndirectMem(t *Task, id uint16, ref *mcu.TrapDesc) bool 
 	}
 	k.book(t, rewriter.ClassIndirectMem, split(sumBase, over), uint64(over))
 	return true
-}
-
-// longGroup returns the accesses of trap id's group when it is longer than
-// a descriptor holds (a rewriter GroupLimit above four).
-func (k *Kernel) longGroup(id uint16) []mcu.Member {
-	for _, lp := range k.progs {
-		if i := int(id) - lp.idBase; i >= 0 && i < len(lp.nat.Patches) {
-			group := make([]mcu.Member, len(lp.nat.Patches[i].Group))
-			for j, in := range lp.nat.Patches[i].Group {
-				group[j] = mcu.Member{Op: in.Op, Reg: in.Dst, Disp: uint8(in.Imm)}
-			}
-			return group
-		}
-	}
-	return nil
 }
 
 // serviceSPWrite assembles the task's logical SP byte-wise and commits the

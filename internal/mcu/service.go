@@ -144,8 +144,7 @@ type TrapDesc struct {
 	Br    uint8 // branch evaluation: BrAlways, BrSet or BrClr
 	Mask  byte  // SREG mask for BrSet/BrClr
 	Back  bool  // a backward branch: counts toward the slice check
-	// N is how many of the trap's data accesses Group holds: all of them,
-	// or 0 for a group longer than Group.
+	// N is how many data accesses the trap makes, the first N of Group.
 	N          uint8
 	StackExtra uint8
 	Group      [4]Member
@@ -271,8 +270,8 @@ func (m *Machine) serve(id uint16, sreg byte) bool {
 		m.SetPC(d.Next)
 	case ServeIndirectMem:
 		// Only a group's last access may load into the shared pointer
-		// (the kernel serves no other group here), so every access's
-		// address is known before any byte moves.
+		// (the kernel marks no other group ServeIndirectMem), so every
+		// access's address is known before any byte moves.
 		group := d.Group[:d.N]
 		ptr := group[0].Pointer()
 		var phys [len(d.Group)]uint16

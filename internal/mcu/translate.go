@@ -1298,6 +1298,9 @@ loop:
 						break loop
 					}
 					if b.poll && m.pc == b.leader {
+						// The repeater evaluates the branch from the
+						// machine's SREG, which may predate this chain.
+						m.data[addrSREG] = sreg
 						done += m.spin(b, start, stop)
 					}
 					break

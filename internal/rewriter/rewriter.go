@@ -164,14 +164,18 @@ type Config struct {
 	// NoTrampolineMerge disables merging of identical trampolines, for
 	// ablation studies.
 	NoTrampolineMerge bool
-	// GroupLimit caps the length of a grouped memory-access run. The paper
-	// observes 2- or 4-instruction groups; default 4.
+	// GroupLimit caps the length of a grouped memory-access run, at most
+	// MaxGroup; 0 means MaxGroup.
 	GroupLimit int
 }
 
+// MaxGroup is the longest grouped memory-access run. The paper observes
+// 2- or 4-instruction groups, and the kernel's trap descriptor holds four.
+const MaxGroup = 4
+
 func (c Config) groupLimit() int {
 	if c.GroupLimit <= 0 {
-		return 4
+		return MaxGroup
 	}
 	return c.GroupLimit
 }
@@ -205,6 +209,9 @@ type unit struct {
 
 // Rewrite naturalizes prog for execution under the SenSmart kernel.
 func Rewrite(prog *image.Program, cfg Config) (*Naturalized, error) {
+	if cfg.GroupLimit > MaxGroup {
+		return nil, fmt.Errorf("rewriter: group limit %d above %d", cfg.GroupLimit, MaxGroup)
+	}
 	if err := prog.Validate(); err != nil {
 		return nil, err
 	}

@@ -434,6 +434,16 @@ main:
 	}
 }
 
+func TestGroupLimitAboveMaxRejected(t *testing.T) {
+	p, err := asm.Assemble("g", "main:\n    ld r1, X+\n    break\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Rewrite(p, Config{GroupLimit: MaxGroup + 1}); err == nil {
+		t.Fatalf("GroupLimit %d accepted", MaxGroup+1)
+	}
+}
+
 func TestCrossProgramTrampolineSharing(t *testing.T) {
 	a := mustRewrite(t, loopSrc, Config{})
 	// A second, distinct program with overlapping patch shapes.
