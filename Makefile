@@ -4,7 +4,9 @@
 #                       race-enabled tests (incl. the trace-driven kernel
 #                       suite), coverage floors, and a short run of every
 #                       fuzz target
-#   make test           race-enabled test suite only
+#   make test           race-enabled test suite, then the suite again as a
+#                       GOARCH=386 build (without -race, which 386 lacks),
+#                       so tests of integer widths run where int has 32 bits
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
 #   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
@@ -64,6 +66,7 @@ build:
 
 test:
 	$(GO) test -race ./...
+	GOARCH=386 $(GO) test ./...
 
 cover:
 	@set -e; \

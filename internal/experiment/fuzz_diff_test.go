@@ -34,12 +34,27 @@ func (d *dna) next() byte {
 
 func (d *dna) intn(n int) int { return int(d.next()) % n }
 
+// regSkip emits a skip that tests a generator register: SBRS or SBRC on one
+// of its bits, or CPSE against another.
+func regSkip(d *dna) string {
+	r := 16 + d.intn(10)
+	switch d.intn(3) {
+	case 0:
+		return fmt.Sprintf("sbrs r%d, %d", r, d.intn(8))
+	case 1:
+		return fmt.Sprintf("sbrc r%d, %d", r, d.intn(8))
+	}
+	return fmt.Sprintf("cpse r%d, r%d", r, 16+d.intn(10))
+}
+
 // programFromDNA emits a random-but-valid AVR program from the decision
 // stream: ALU work, direct and indirect heap accesses, displacement
-// accesses, forward branches, calls, bounded loops, program-memory reads and
-// push/pop pairs — every instruction class the rewriter patches. The mix
-// mirrors the kernel package's randomProgram generator, but driven by fuzz
-// bytes instead of a PRNG so the fuzzer can explore the space.
+// accesses, forward branches, calls, bounded loops, program-memory reads,
+// push/pop pairs, register skips and UART poll loops — every instruction
+// class the rewriter patches, and the skip and poll shapes the fused tier
+// ends its blocks with. The mix mirrors the kernel package's randomProgram
+// generator, but driven by fuzz bytes instead of a PRNG so the fuzzer can
+// explore the space.
 func programFromDNA(d *dna) string {
 	var b strings.Builder
 	b.WriteString(".data\nbuf: .space 48\n.text\nmain:\n")
@@ -51,8 +66,22 @@ func programFromDNA(d *dna) string {
 
 	label := 0
 	n := 8 + d.intn(28)
+	// poll emits the UDRE wait of the progs putc idiom, closed by a
+	// backward jump that the rewriter turns into a kernel branch trap, so
+	// the loop is a skip over a trap. Closed by RJMP, it leaves r17 holding
+	// UCSR0A with only UDRE set, whatever the timing.
+	uart := false
+	poll := func(jump string) {
+		fmt.Fprintf(&b, "L%d:\n    in r17, UCSR0A\n    sbrs r17, 5\n    %s L%d\n", label, jump, label)
+		label++
+	}
+	putc := func() {
+		poll("rjmp")
+		fmt.Fprintf(&b, "    out UDR0, r%d\n", 16+d.intn(10))
+		uart = true
+	}
 	for i := 0; i < n; i++ {
-		switch d.intn(12) {
+		switch d.intn(15) {
 		case 0:
 			fmt.Fprintf(&b, "    add r%d, r%d\n", 16+d.intn(10), 16+d.intn(10))
 		case 1:
@@ -90,7 +119,31 @@ func programFromDNA(d *dna) string {
 		case 11:
 			reg := 16 + d.intn(10)
 			fmt.Fprintf(&b, "    push r%d\n    pop r%d\n", reg, reg)
+		case 12:
+			fmt.Fprintf(&b, "    %s\n    add r%d, r%d\n", regSkip(d), 16+d.intn(10), 16+d.intn(10))
+		case 13:
+			// The rewriter turns the heap access into a KTRAP, so the pair
+			// ends its block as a skip over a trap.
+			if d.intn(2) == 0 {
+				fmt.Fprintf(&b, "    %s\n    sts buf+%d, r%d\n", regSkip(d), d.intn(48), 16+d.intn(10))
+			} else {
+				fmt.Fprintf(&b, "    %s\n    lds r%d, buf+%d\n", regSkip(d), 16+d.intn(10), d.intn(48))
+			}
+		case 14:
+			// Two putc calls, so the second waits on the first byte. Then a
+			// poll loop closed by a conditional branch on flags set before
+			// it, which waits only when the branch is taken, so a putc
+			// follows it.
+			putc()
+			putc()
+			fmt.Fprintf(&b, "    %s\n", []string{"sez", "clz", "tst r16"}[d.intn(3)])
+			poll([]string{"breq", "brne"}[d.intn(2)])
+			putc()
 		}
+	}
+	// A native run stops at BREAK, so let the last UART byte finish first.
+	if uart {
+		poll("rjmp")
 	}
 	// Clear pointer registers so register values are timing-independent at
 	// comparison time.
@@ -223,6 +276,21 @@ func FuzzDifferential(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
 	f.Add([]byte{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0, 255, 128, 64})
 	f.Add([]byte{5, 5, 5, 6, 6, 6, 3, 4, 3, 4})
+	// One seed per skip and poll case. programFromDNA reads ten register
+	// values and an instruction count byte (8 + n%28), then each
+	// instruction's case byte and operands; a seed repeats once it runs out.
+	regs := [...]byte{0x0F, 0xF0, 0x55, 0xAA, 1, 2, 3, 4, 0x80, 0x7F, 0}
+	f.Add(append(regs[:],
+		12, 0, 0, 4, 2, 5, // sbrs r16, 4 over add r18, r21
+		12, 1, 1, 7, 3, 3, // sbrc r17, 7 over add r19, r19
+		12, 2, 2, 5, 6, 0)) // cpse r18, r21 over add r22, r16
+	f.Add(append(regs[:],
+		13, 0, 0, 0, 4, 5, 2, // sbrs r16, 4 over sts buf+5, r18
+		13, 1, 1, 1, 1, 3, 20, // sbrc r17, 1 over lds r19, buf+20
+		13, 0, 2, 2, 3, 40, 4)) // cpse r18, r19 over sts buf+40, r20
+	// Eleven rounds of: putc r19, putc r20, then sez and a breq-closed poll
+	// loop, then putc r19.
+	f.Add([]byte{3, 44})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		src := programFromDNA(&dna{data: data})

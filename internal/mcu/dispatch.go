@@ -189,7 +189,9 @@ func (m *Machine) buildUop(pc uint32) error {
 	case avr.OpIn, avr.OpOut:
 		u.a = uint16(in.Imm) + IOBase
 	case avr.OpLds, avr.OpSts:
-		u.a = uint16(in.Imm)
+		// Wrapped as loadByte and storeByte wrap it, so the fused tier
+		// classifies the address the access really reaches.
+		u.a = uint16(in.Imm) % DataSize
 	case avr.OpLddY, avr.OpStdY:
 		u.s, u.a = avr.RegY, uint16(in.Imm)
 	case avr.OpLddZ, avr.OpStdZ:

@@ -2,6 +2,7 @@ package mcu
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"repro/internal/avr/asm"
@@ -65,6 +66,41 @@ func TestTranslatedIdentity(t *testing.T) {
 	if st := slow.TranslationStats(); st != (TranslationStats{}) {
 		t.Errorf("stepwise run reported stats %+v, want zero", st)
 	}
+}
+
+// TestStsPastDataSpace: an LDS/STS address wraps modulo the data space, so
+// `sts 0x1153` writes TCCR0 (data address 0x53) and starts Timer0. The fused
+// tier must classify the wrapped address, so the store ends its block as a
+// device write; classified as an SRAM store it kept a horizon computed
+// before the timer ran and the loop never saw TOV0.
+func TestStsPastDataSpace(t *testing.T) {
+	const src = `
+main:
+    ldi r16, 1
+    sts 0x1153, r16
+    clr r20
+loop:
+    inc r20
+    in r17, TIFR
+    sbrs r17, 0
+    rjmp loop
+    break
+`
+	run := func(stepwise bool, threshold int) *Machine {
+		m := load(t, src)
+		m.SetStepwise(stepwise)
+		m.SetTranslation(threshold)
+		err := m.Run(100_000)
+		var f *Fault
+		if !errors.As(err, &f) || f.Kind != FaultBreak {
+			t.Errorf("stepwise=%v threshold=%d: stopped with %v at cycle %d, want BREAK",
+				stepwise, threshold, err, m.Cycles())
+		}
+		return m
+	}
+	slow := run(true, 0)
+	requireSameState(t, "fused-vs-stepwise", run(false, 1), slow)
+	requireSameState(t, "default-vs-stepwise", run(false, 0), slow)
 }
 
 // TestBlockInvalidationSecondWord pins the block-cache analogue of the

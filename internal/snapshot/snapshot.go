@@ -18,7 +18,12 @@
 //	4       4     schema version (little-endian u32)
 //	8       8     payload length (little-endian u64)
 //	16      32    SHA-256 of payload
-//	48      n     payload (see codec.go)
+//	48      n     payload
+//
+// The payload is the machine record, the kernel record, then each observer's
+// record behind a presence byte. Every record has one schema in codec.go
+// that names its fields once, in wire order; the same walk encodes and
+// decodes it.
 //
 // All integers are little-endian. Decoding is strict: a wrong magic, an
 // unknown version, a truncated buffer, a hash mismatch, or malformed payload
@@ -100,30 +105,13 @@ func Encode(st *State) ([]byte, error) {
 	if st == nil || st.Machine == nil || st.Kernel == nil {
 		return nil, fmt.Errorf("snapshot: encode: machine and kernel state are required")
 	}
-	var e enc
-	e.machineState(st.Machine)
-	e.kernelState(st.Kernel)
-	e.optional(st.Trace != nil)
-	if st.Trace != nil {
-		e.recorderState(st.Trace)
-	}
-	e.optional(st.Telemetry != nil)
-	if st.Telemetry != nil {
-		e.samplerState(st.Telemetry)
-	}
-	e.optional(st.Profile != nil)
-	if st.Profile != nil {
-		e.profilerState(st.Profile)
-	}
-	e.optional(st.Energy != nil)
-	if st.Energy != nil {
-		e.energyState(st.Energy)
-	}
-	payload := e.b
+	var c codec
+	c.state(st)
+	payload := c.b
 	out := make([]byte, 0, headerSize+len(payload))
 	out = append(out, magic...)
-	out = le32(out, SchemaVersion)
-	out = le64(out, uint64(len(payload)))
+	out = le.AppendUint32(out, SchemaVersion)
+	out = le.AppendUint64(out, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	out = append(out, sum[:]...)
 	return append(out, payload...), nil
@@ -142,13 +130,13 @@ func Decode(data []byte) (*State, error) {
 	if string(data[:4]) != magic {
 		return nil, ErrBadMagic
 	}
-	if v := rd32(data[4:]); v != SchemaVersion {
+	if v := le.Uint32(data[4:]); v != SchemaVersion {
 		return nil, &VersionError{Got: v}
 	}
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("%w: %d-byte blob is shorter than the header", ErrTruncated, len(data))
 	}
-	n := rd64(data[8:])
+	n := le.Uint64(data[8:])
 	if n > uint64(len(data)-headerSize) {
 		return nil, fmt.Errorf("%w: header declares a %d-byte payload, %d present",
 			ErrTruncated, n, len(data)-headerSize)
@@ -161,28 +149,14 @@ func Decode(data []byte) (*State, error) {
 	if sum := sha256.Sum256(payload); string(sum[:]) != string(data[16:48]) {
 		return nil, ErrCorrupt
 	}
-	d := &dec{b: payload}
-	st := &State{
-		Machine: d.machineState(),
-		Kernel:  d.kernelState(),
+	c := codec{decode: true, b: payload}
+	st := new(State)
+	c.state(st)
+	if c.err != nil {
+		return nil, c.err
 	}
-	if d.optional() {
-		st.Trace = d.recorderState()
-	}
-	if d.optional() {
-		st.Telemetry = d.samplerState()
-	}
-	if d.optional() {
-		st.Profile = d.profilerState()
-	}
-	if d.optional() {
-		st.Energy = d.energyState()
-	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(payload) {
-		return nil, fmt.Errorf("%w: %d undecoded bytes at end of payload", ErrMalformed, len(payload)-d.off)
+	if c.off != len(payload) {
+		return nil, fmt.Errorf("%w: %d undecoded bytes at end of payload", ErrMalformed, len(payload)-c.off)
 	}
 	return st, nil
 }

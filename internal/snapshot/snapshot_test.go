@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -166,27 +167,82 @@ func testState() *State {
 
 // TestRoundTrip: decode(encode(state)) reproduces the state exactly, and
 // re-encoding the decoded state reproduces the bytes exactly — the encoding
-// is canonical.
+// is canonical. The second state sets every field, so a schema that leaves
+// one out fails here.
 func TestRoundTrip(t *testing.T) {
-	st := testState()
-	blob, err := Encode(st)
-	if err != nil {
-		t.Fatal(err)
+	for _, tc := range []struct {
+		name string
+		st   *State
+	}{
+		{"hand-built", testState()},
+		{"every field set", everyFieldSet(t)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			blob, err := Encode(tc.st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := Decode(blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, tc.st) {
+				t.Error("decoded state differs from the original")
+			}
+			again, err := Encode(got)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(again, blob) {
+				t.Error("re-encoding the decoded state produced different bytes")
+			}
+		})
 	}
-	got, err := Decode(blob)
-	if err != nil {
-		t.Fatal(err)
+}
+
+// everyFieldSet returns a State whose every exported field, recursively, is
+// set by reflection: every observer present, two elements in every slice,
+// bools true, and every other scalar a distinct non-zero value (bytes
+// repeat after 255; ints are negative, to carry their sign bits).
+func everyFieldSet(t *testing.T) *State {
+	var next uint64
+	var fill func(v reflect.Value)
+	fill = func(v reflect.Value) {
+		next++
+		switch v.Kind() {
+		case reflect.Pointer:
+			v.Set(reflect.New(v.Type().Elem()))
+			fill(v.Elem())
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				if v.Type().Field(i).IsExported() {
+					fill(v.Field(i))
+				}
+			}
+		case reflect.Slice:
+			v.Set(reflect.MakeSlice(v.Type(), 2, 2))
+			fallthrough
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				fill(v.Index(i))
+			}
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString(fmt.Sprintf("s%d", next))
+		case reflect.Uint8:
+			v.SetUint(next%255 + 1)
+		case reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			v.SetUint(next)
+		case reflect.Int, reflect.Int32:
+			v.SetInt(-int64(next))
+		default:
+			t.Fatalf("everyFieldSet has no value for a %s field", v.Type())
+		}
 	}
-	if !reflect.DeepEqual(got, st) {
-		t.Error("decoded state differs from the original")
-	}
-	again, err := Encode(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(again, blob) {
-		t.Error("re-encoding the decoded state produced different bytes")
-	}
+	st := new(State)
+	fill(reflect.ValueOf(st).Elem())
+	return st
 }
 
 // TestRoundTripNoObservers: a snapshot from an unobserved system (no trace,
@@ -228,8 +284,8 @@ func TestEncodeRequiresMachineAndKernel(t *testing.T) {
 func reblob(payload []byte) []byte {
 	out := make([]byte, 0, headerSize+len(payload))
 	out = append(out, magic...)
-	out = le32(out, SchemaVersion)
-	out = le64(out, uint64(len(payload)))
+	out = le.AppendUint32(out, SchemaVersion)
+	out = le.AppendUint64(out, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	out = append(out, sum[:]...)
 	return append(out, payload...)
@@ -263,6 +319,26 @@ func TestDecodeRejects(t *testing.T) {
 	// re-wrap, so a nested count overruns what remains.
 	shortStruct := reblob(good[headerSize : headerSize+40])
 
+	// A list count of 2^31 must be refused even where int has 32 bits, on
+	// which it converts to a negative length that would pass the bound as
+	// an empty list. RadioOut is emptied so that everything after its count
+	// still decodes; the count ends the machine record but for RadioIn (a
+	// u32 length and three bytes).
+	noRadio := testState()
+	noRadio.Machine.Dev.RadioOut = nil
+	var mc codec
+	mc.machineState(noRadio.Machine)
+	hugeCount, err := Encode(noRadio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hugeCount = hugeCount[headerSize:]
+	at := len(mc.b) - 4 - 3 - 4
+	if le.Uint32(hugeCount[at:]) != 0 {
+		t.Fatalf("no empty RadioOut count at payload offset %d", at)
+	}
+	le.PutUint32(hugeCount[at:], 1<<31)
+
 	cases := []struct {
 		name string
 		blob []byte
@@ -278,6 +354,7 @@ func TestDecodeRejects(t *testing.T) {
 		{"flipped payload bit", corrupt, ErrCorrupt},
 		{"malformed bool", reblob(badBool), ErrMalformed},
 		{"overrunning field", shortStruct, ErrMalformed},
+		{"list count of 2^31", reblob(hugeCount), ErrMalformed},
 	}
 	for _, tc := range cases {
 		st, err := Decode(tc.blob)
