@@ -4,9 +4,12 @@
 #                       race-enabled tests (incl. the trace-driven kernel
 #                       suite), coverage floors, and a short run of every
 #                       fuzz target
-#   make test           race-enabled test suite, then the suite again as a
-#                       GOARCH=386 build (without -race, which 386 lacks),
-#                       so tests of integer widths run where int has 32 bits
+#   make test           race-enabled test suite, the image-adoption and fork
+#                       tests ten more times under -race (forks share their
+#                       parent's pages and blocks across goroutines), then
+#                       the suite again as a GOARCH=386 build (without
+#                       -race, which 386 lacks), so tests of integer widths
+#                       run where int has 32 bits
 #   make cover          enforce statement-coverage floors on kernel, mcu,
 #                       and the profiler
 #   make fuzz           run every fuzz target for FUZZTIME (default 10s) each
@@ -66,6 +69,7 @@ build:
 
 test:
 	$(GO) test -race ./...
+	$(GO) test -race -count=10 -run 'Adopt|Fork' ./internal/mcu ./internal/core
 	GOARCH=386 $(GO) test ./...
 
 cover:

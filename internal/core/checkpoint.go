@@ -10,8 +10,8 @@ import (
 // and whatever observers are attached — as a snapshot.State. Capturing is
 // read-only: it never perturbs the run, so a checkpointed run's remaining
 // trajectory (and its trace/telemetry/profile output) is byte-identical to
-// an uncheckpointed one. The program image is not captured; its hash is, and
-// Restore validates it.
+// an uncheckpointed one. The program image is not captured; the state refers
+// to it (and an encoding carries its hash), and Restore validates it.
 func (s *System) Snapshot() (*snapshot.State, error) {
 	ms, err := s.machine.CaptureState()
 	if err != nil {
@@ -39,11 +39,11 @@ func (s *System) Snapshot() (*snapshot.State, error) {
 // Restore applies a snapshot to a freshly built system in place of Boot. The
 // target must be constructed the same way as the snapshot's source: the same
 // options, the same observers attached, and the same programs deployed in
-// the same order (the flash-image hash and task table are cross-checked).
+// the same order (the flash image and task table are cross-checked).
 // After Restore, Run continues the computation exactly where the snapshot
 // left it. A Fork of the source system is such a target, and it shares the
-// source's flash and micro-op cache copy-on-write instead of loading its own
-// copy.
+// source's flash image, micro-op cache and translated blocks copy-on-write
+// instead of loading its own copy, so the image check is an identity check.
 func (s *System) Restore(st *snapshot.State) error {
 	if st == nil || st.Machine == nil || st.Kernel == nil {
 		return fmt.Errorf("core: restore: snapshot is missing machine or kernel state")

@@ -138,8 +138,9 @@ func newSystem(o options) *System {
 // profiler with the same options and watchpoints, an empty energy meter.
 // s's tasks are admitted again, in order, from s's naturalized programs
 // (later Deploys of s's programs reuse them too), and the fork shares s's
-// flash and micro-op cache copy-on-write (see mcu.Machine.AdoptImage). A
-// snapshot of s therefore restores into the fork in place of Boot. The
+// flash image, micro-op cache and translated blocks copy-on-write (see
+// mcu.Machine.AdoptImage). A snapshot of s therefore restores into the fork
+// in place of Boot, checked by image identity. The
 // kernel configuration's Logf and OnTaskExit callbacks are shared with s. s
 // must be quiescent; forks of one s may be taken from several goroutines at
 // once.

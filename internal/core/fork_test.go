@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/energy"
@@ -212,6 +213,76 @@ func TestForkLeavesParentAlone(t *testing.T) {
 	for i, after := range state() {
 		if !bytes.Equal(after, before[i]) {
 			t.Errorf("running forks changed the parent's %s", names[i])
+		}
+	}
+}
+
+// TestForkConcurrently: forks of one quiescent, checkpointed parent share
+// its image, micro-ops and translated blocks; eight of them restored and run
+// at once (under -race) must each end in the same snapshot bytes as one
+// fork run alone.
+func TestForkConcurrently(t *testing.T) {
+	sys := NewSystem()
+	prog, err := sys.CompileString("counter", counterAsm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := sys.Deploy(prog); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(150_000); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sys.Machine().TranslationStats().Blocks == 0 {
+		t.Fatal("the parent translated no blocks; the check proves nothing")
+	}
+	run := func() ([]byte, error) {
+		f, err := sys.Fork()
+		if err == nil {
+			err = f.Restore(st)
+		}
+		if err == nil {
+			err = f.Run(400_000)
+		}
+		if err != nil {
+			return nil, err
+		}
+		end, err := f.Snapshot()
+		if err != nil {
+			return nil, err
+		}
+		return snapshot.Encode(end)
+	}
+	want, err := run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([][]byte, 8)
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			got[i], errs[i] = run()
+		}(i)
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("fork %d: %v", i, errs[i])
+		}
+		if !bytes.Equal(got[i], want) {
+			t.Errorf("fork %d ended in other snapshot bytes than the fork run alone", i)
 		}
 	}
 }

@@ -138,6 +138,9 @@ func (c *campaign) tracedReplay(p plan, cycle uint64) (*outcome, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Share the golden image, so the replays restore its checkpoints by
+		// image identity instead of comparing digests.
+		sys.Machine().AdoptImage(c.golden.Machine())
 		c.traced = sys
 	}
 	from := p.at

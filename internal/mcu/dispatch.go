@@ -146,9 +146,9 @@ func init() {
 	}
 }
 
-// buildUop decodes the flash word at (masked) pc into its micro-op cache
+// buildUop decodes the flash word at (masked) pc into u, its micro-op cache
 // slot. Decode errors are not cached, matching the old fetch.
-func (m *Machine) buildUop(pc uint32) error {
+func (m *Machine) buildUop(pc uint32, u *uop) error {
 	// The operand word of a two-word instruction may sit on the next page;
 	// the last flash word has none.
 	ws := [2]uint16{m.FlashWord(pc), m.FlashWord(pc + 1)}
@@ -160,7 +160,6 @@ func (m *Machine) buildUop(pc uint32) error {
 		// Without a kernel, BREAK is BREAK; the next word is unrelated.
 		in = avr.Inst{Op: avr.OpBreak}
 	}
-	u := &ownPage(&m.uops, pageOf(pc)).v[pc%pageWords]
 	words, cycles := in.Op.Meta()
 	*u = uop{in: in, d: in.Dst, s: in.Src, cycles: uint8(cycles)}
 	u.next = (pc + uint32(words)) & (FlashWords - 1)

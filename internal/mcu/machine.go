@@ -51,10 +51,10 @@ const (
 func pageOf(pc uint32) uint32 { return pc >> pageShift & (numPages - 1) }
 
 // page is one pageWords-entry granule of a page table. shared marks a page
-// reachable from more than one machine (AdoptImage) or an erased page: it is
-// never written again, and a writer copies it first. The flag is only ever
-// set, and is atomic because many children may adopt one quiescent parent
-// concurrently.
+// reachable from more than one machine (AdoptImage), frozen into a flash
+// image (flashImage), or an erased page: it is never written again, and a
+// writer copies it first. The flag is only ever set, and is atomic because
+// many children may adopt one quiescent parent concurrently.
 type page[T any] struct {
 	v      [pageWords]T
 	shared atomic.Bool
@@ -230,15 +230,19 @@ type Machine struct {
 	// pointer comparison per transition.
 	meter *energy.Meter
 
+	// erasedUop is the micro-op of the last erased-flash word fetched; see
+	// fetchUop.
+	erasedUop uop
+
 	// The program image. Its 4 KB of page tables sit last, so they do not
 	// spread the per-instruction fields above over more cache lines. flash
 	// is program memory, paged so machines restored from a snapshot can
-	// share the parent's immutable image page by page (AdoptImage). digest
-	// caches the image's SHA-256 (flashHash) while digestOK holds;
-	// LoadFlash clears it.
-	flash    [numPages]*page[uint16]
-	digest   [32]byte
-	digestOK bool
+	// share the parent's immutable image page by page (AdoptImage). img is
+	// the frozen image flash holds (see flashImage), nil from a LoadFlash
+	// until the next capture or adoption freezes one. It is atomic because
+	// concurrent adopters of a machine without one race to freeze it.
+	flash [numPages]*page[uint16]
+	img   atomic.Pointer[flashImage]
 
 	// Micro-op cache: code is immutable while running (the paper's
 	// no-self-modification assumption), so each flash word predecodes once
@@ -261,26 +265,25 @@ func New() *Machine {
 	return m
 }
 
-// AdoptImage replaces m's program image with parent's, sharing its flash and
-// predecoded micro-op pages copy-on-write: both machines keep executing from
-// the same pages until one of them writes a page (LoadFlash, a cache fill),
-// at which point the writer copies that page alone. The parent must be
-// quiescent (not inside Run/Step), but many children may adopt the same
-// parent from different goroutines: adoption only reads the parent and
-// marks its pages shared. The caller is responsible for m's flash contents
-// matching parent's — RestoreState's image hash enforces this on the
-// snapshot path — and m inherits parent's image digest when it has one.
+// AdoptImage replaces m's program image with parent's: m shares parent's
+// flash image (freezing it first when parent has none), its predecoded
+// micro-op pages and its translated blocks copy-on-write. Both machines
+// keep executing from the same pages and blocks until one of them writes
+// (LoadFlash, a cache fill, a new block), at which point the writer copies
+// the page or the block list alone. The parent must be quiescent (not
+// inside Run/Step), but many children may adopt the same parent from
+// different goroutines: adoption only reads the parent, marks its pages
+// and blocks shared, and freezes its image race-free. A state captured
+// from parent therefore restores into m by image identity.
 func (m *Machine) AdoptImage(parent *Machine) {
-	for i := range parent.flash {
-		m.flash[i] = sharePage(parent.flash[i])
+	im := parent.image()
+	m.flash = im.flash
+	m.img.Store(im)
+	for i := range parent.uops {
 		m.uops[i] = sharePage(parent.uops[i])
 	}
 	m.codeEnd = parent.codeEnd
-	m.digest, m.digestOK = parent.digest, parent.digestOK
-	// Translated blocks fuse decoded flash contents; any the adopter built
-	// against its previous image are stale now. The parent's blocks stay:
-	// its image is unchanged (and the translator is never shared).
-	m.xl.reset()
+	m.xl.adopt(parent.xl)
 }
 
 // SetCheckpoint arms (or, with nil fn, disarms) the checkpoint hook: fn runs
@@ -361,7 +364,7 @@ func (m *Machine) LoadFlash(base uint32, words []uint16) error {
 	if base > 0 {
 		m.invalidateUops(base-1, 1)
 	}
-	m.digestOK = false
+	m.img.Store(nil)
 	// Translated blocks fuse decoded words the same way; kill every block
 	// overlapping the patched range (a block's [leader, end) span covers
 	// operand words, so the base-1 case above is covered by overlap).
@@ -616,16 +619,21 @@ func (m *Machine) faultf(kind FaultKind, addr uint16, note string) error {
 }
 
 // fetchUop returns the micro-op cache entry at word address pc, predecoding
-// the flash word on first execution.
+// the flash word on first execution. A word of erased flash decodes into
+// the scratch entry erasedUop instead, valid until the next fetch, so a
+// sled of them never copies a micro-op page.
 func (m *Machine) fetchUop(pc uint32) (*uop, error) {
 	pc &= FlashWords - 1
 	u := &m.uops[pageOf(pc)].v[pc%pageWords]
 	if u.in.Op == avr.OpInvalid {
-		if err := m.buildUop(pc); err != nil {
+		if m.flash[pageOf(pc)] == erasedFlash {
+			u = &m.erasedUop
+		} else {
+			u = &ownPage(&m.uops, pageOf(pc)).v[pc%pageWords]
+		}
+		if err := m.buildUop(pc, u); err != nil {
 			return nil, err
 		}
-		// buildUop gave the page a private copy; look the entry up again.
-		u = &m.uops[pageOf(pc)].v[pc%pageWords]
 	}
 	return u, nil
 }
@@ -661,12 +669,13 @@ func (m *Machine) Run(limit uint64) error {
 // interrupt to examine, stepwise mode, or an attached profiler — and for
 // one instruction after due hooks fire. Otherwise, up to the next device
 // event, the cycle limit and the hook schedule's due cycle, the fused tier
-// (runTranslated) dispatches translated blocks, and skips a device-poll
-// loop's further iterations in one step once the loop has reached its fixed
-// point. Whatever it declines (a cold leader, a SLEEP/BREAK/undecodable one,
-// or a block whose worst case does not fit before that stop) runs on Step
-// until the next control transfer lands on another leader. Both tiers stop
-// at the instruction boundary where a stepwise run fires each hook.
+// (runTranslated) dispatches translated blocks, skips a device-poll loop's
+// further iterations in one step once the loop has reached its fixed point,
+// and retires erased flash a page at a time. Whatever it declines (a cold
+// leader, a SLEEP/BREAK/undecodable one, or a block whose worst case does
+// not fit before that stop) runs on Step until the next control transfer
+// lands on another leader, or until Step enters erased flash. Both tiers
+// stop at the instruction boundary where a stepwise run fires each hook.
 func (m *Machine) RunUntil(limit uint64) error {
 	for limit == 0 || m.cycle < limit {
 		switch {
@@ -682,14 +691,15 @@ func (m *Machine) RunUntil(limit uint64) error {
 				return err
 			}
 			// A declined PC steps to the next control transfer, KTRAP or
-			// SLEEP, whose landing the fused tier sees on the next pass.
+			// SLEEP, whose landing the fused tier sees on the next pass,
+			// or into erased flash, which the fused tier retires whole.
 			for !halt && m.cycle < m.stop(limit) {
 				pc := m.pc & (FlashWords - 1)
 				if err := m.Step(); err != nil {
 					return err
 				}
 				u := &m.uops[pageOf(pc)].v[pc%pageWords]
-				halt = u.ctl || u.checked
+				halt = u.ctl || u.checked || m.flash[pageOf(m.pc)] == erasedFlash
 			}
 			continue
 		}

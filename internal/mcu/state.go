@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 )
 
 // Capture/restore errors. Capture refuses state it cannot serialize; restore
@@ -58,9 +59,10 @@ type DeviceState struct {
 
 // MachineState is the complete serializable execution state of a Machine,
 // excluding the program image: flash (and its derived micro-op cache) is
-// validated by hash instead of carried, so a restore target must have the
-// same programs deployed — which it reuses, optionally copy-on-write shared
-// via AdoptImage.
+// validated instead of carried, so a restore target must have the same
+// programs deployed — which it reuses, optionally copy-on-write shared via
+// AdoptImage. A captured state refers to the frozen image it was taken
+// against; a decoded one carries that image's digest in FlashHash.
 type MachineState struct {
 	Data  []byte // all DataSize bytes: registers, I/O space, SRAM
 	PC    uint32
@@ -83,35 +85,74 @@ type MachineState struct {
 	SampleNext  uint64
 
 	CodeEnd   uint32
-	FlashHash [32]byte
+	FlashHash [32]byte // the image digest of a decoded state; see ImageDigest
 
 	Dev DeviceState
+
+	img *flashImage // the image a captured state was taken against
 }
 
-// flashHash returns the SHA-256 of the whole flash image (all FlashWords
-// words, little-endian). It is computed once per image and kept until the
-// next LoadFlash.
-func (m *Machine) flashHash() [32]byte {
-	if m.digestOK {
-		return m.digest
+// ImageDigest returns the SHA-256 of the program image the state was taken
+// against: the digest of its frozen image for a captured state (computed
+// at most once per image), FlashHash for a decoded one.
+func (st *MachineState) ImageDigest() [32]byte {
+	if st.img != nil {
+		return st.img.digest()
 	}
-	h := sha256.New()
-	var buf [2 * pageWords]byte
-	for _, p := range m.flash {
-		for j, w := range p.v {
-			buf[2*j] = byte(w)
-			buf[2*j+1] = byte(w >> 8)
+	return st.FlashHash
+}
+
+// flashImage is one frozen program image: a flash page table whose pages
+// are all shared, so no machine writes them again, and the image's digest.
+// Captures record it and adopters share it, so a restore recognises a state
+// taken against its own image by identity; only a state from another image
+// (or a decoded one) is compared by digest.
+type flashImage struct {
+	flash [numPages]*page[uint16]
+	once  sync.Once
+	sum   [32]byte
+}
+
+// image returns m's frozen image, freezing flash into a new one when m has
+// none (since its last LoadFlash): its pages become shared, so a later
+// LoadFlash copies what it writes. Concurrent adopters of a quiescent m may
+// race to freeze it; the compare-and-swap keeps one image for them all.
+func (m *Machine) image() *flashImage {
+	if im := m.img.Load(); im != nil {
+		return im
+	}
+	im := new(flashImage)
+	for i, p := range m.flash {
+		im.flash[i] = sharePage(p)
+	}
+	if !m.img.CompareAndSwap(nil, im) {
+		return m.img.Load()
+	}
+	return im
+}
+
+// digest returns the SHA-256 of the whole image (all FlashWords words,
+// little-endian), computing it on the first call.
+func (im *flashImage) digest() [32]byte {
+	im.once.Do(func() {
+		h := sha256.New()
+		var buf [2 * pageWords]byte
+		for _, p := range im.flash {
+			for j, w := range p.v {
+				buf[2*j] = byte(w)
+				buf[2*j+1] = byte(w >> 8)
+			}
+			h.Write(buf[:])
 		}
-		h.Write(buf[:])
-	}
-	h.Sum(m.digest[:0])
-	m.digestOK = true
-	return m.digest
+		h.Sum(im.sum[:0])
+	})
+	return im.sum
 }
 
 // CaptureState snapshots the machine's execution and device state. It never
-// perturbs the run (it at most caches the image digest) and deep-copies every
-// buffer, so the returned state stays valid while the machine keeps running.
+// perturbs the run (it at most freezes the program image, so a later
+// LoadFlash copies the pages it writes) and deep-copies every buffer, so the
+// returned state stays valid while the machine keeps running.
 // It fails if unserializable hooks are attached (custom ADC source, armed
 // fault injector).
 func (m *Machine) CaptureState() (*MachineState, error) {
@@ -136,7 +177,7 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 		SampleEvery: m.sampleEvery,
 		SampleNext:  m.sampleNext,
 		CodeEnd:     m.codeEnd,
-		FlashHash:   m.flashHash(),
+		img:         m.image(),
 		Dev: DeviceState{
 			NextEvent:      m.dev.nextEvent,
 			T0BaseCycle:    m.dev.t0BaseCycle,
@@ -166,8 +207,10 @@ func (m *Machine) CaptureState() (*MachineState, error) {
 }
 
 // RestoreState applies a captured state to m, which must already hold the
-// identical program image the snapshot was taken against (validated by
-// hash — flash itself is not part of the state). Every buffer is deep-copied
+// identical program image the snapshot was taken against — flash itself is
+// not part of the state. A state captured against m's own image (m's, or
+// one m adopted) is accepted as it is; any other is compared by image
+// digest, each computed at most once per image. Every buffer is deep-copied
 // out of st, so neither the machine nor a caller-held snapshot aliases the
 // other afterward. Attached hooks (trap handler, recorder, profiler,
 // sampler) are left as wired by the machine's constructor; only the
@@ -179,7 +222,7 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	if len(st.Data) != DataSize {
 		return fmt.Errorf("%w: %d bytes, want %d", ErrSnapshotDataSize, len(st.Data), DataSize)
 	}
-	if st.FlashHash != m.flashHash() {
+	if im := m.image(); st.img != im && st.ImageDigest() != im.digest() {
 		return ErrImageMismatch
 	}
 	if m.sampleFn != nil && m.sampleEvery != st.SampleEvery {
@@ -235,11 +278,8 @@ func (m *Machine) RestoreState(st *MachineState) error {
 	}
 	m.schedule()
 	m.codeEnd = st.CodeEnd
-	// The block cache is derived state, like the micro-op cache: the restore
-	// target may have been running unrelated code (its flash merely hashes
-	// equal now), so drop every translated block and landing counter rather
-	// than trust them. They rebuild from scratch, exactly as uops refetch.
-	m.xl.reset()
+	// The micro-op and block caches stay: each entry depends only on the
+	// flash words it decoded, which the image check just proved equal.
 	m.dev = dev
 	return nil
 }

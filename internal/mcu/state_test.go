@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"sync"
 	"testing"
+
+	"repro/internal/avr/asm"
 )
 
 // stateWorkSrc exercises every peripheral a snapshot must carry: ADC
@@ -196,28 +199,79 @@ func TestRestoreRejectsImageMismatch(t *testing.T) {
 	}
 }
 
-// TestFlashDigestTracksImage: the image digest is computed once per image
-// and kept, so it must equal the SHA-256 of the whole flat flash image, every
-// flash write must drop it (a stale digest would let a snapshot restore onto
-// a patched image), and an adopting machine inherits its parent's.
+// TestFlashDigestTracksImage: a capture records the machine's frozen flash
+// image, whose digest (ImageDigest) is the SHA-256 of the whole flat image,
+// computed at most once per image and only when a restore or an encoding
+// needs it. A restore into a fork, which shares the image, computes none; a
+// restore onto an equal but separately loaded image computes each image's
+// digest once and succeeds; a restore onto a patched image, or of a decoded
+// state whose digest differs, fails.
 func TestFlashDigestTracksImage(t *testing.T) {
 	m := load(t, stateWorkSrc)
 	st, err := m.CaptureState()
 	if err != nil {
 		t.Fatal(err)
 	}
+	im := m.img.Load()
+	if im == nil || st.img != im {
+		t.Fatal("capture did not record the machine's frozen image")
+	}
+	child := New()
+	child.AdoptImage(m)
+	if child.img.Load() != im {
+		t.Fatal("AdoptImage did not share the parent's image")
+	}
+	if err := child.RestoreState(st); err != nil {
+		t.Fatalf("restore into a fork: %v", err)
+	}
+	if im.sum != ([32]byte{}) {
+		t.Error("a restore into a fork computed the image digest")
+	}
+
 	flat := make([]byte, 2*FlashWords)
 	for i := range FlashWords {
 		w := m.FlashWord(uint32(i))
 		flat[2*i], flat[2*i+1] = byte(w), byte(w>>8)
 	}
-	if st.FlashHash != sha256.Sum256(flat) {
-		t.Fatal("flash digest differs from the SHA-256 of the flat image")
+	if st.ImageDigest() != sha256.Sum256(flat) {
+		t.Fatal("image digest differs from the SHA-256 of the flat image")
+	}
+
+	twin := load(t, stateWorkSrc)
+	if err := twin.RestoreState(st); err != nil {
+		t.Fatalf("restore onto an equal, separately loaded image: %v", err)
+	}
+	tim := twin.img.Load()
+	if tim == nil || tim == im || tim.sum != im.sum {
+		t.Fatal("the separately loaded image was not frozen with an equal digest")
+	}
+	// Both digests are cached: a corrupted cache entry is believed, not
+	// recomputed.
+	tim.sum[0] ^= 1
+	if err := twin.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
+		t.Errorf("restore after corrupting the cached digest: %v, want ErrImageMismatch", err)
+	}
+	tim.sum[0] ^= 1
+
+	decoded := *st
+	decoded.img, decoded.FlashHash = nil, st.ImageDigest()
+	if err := child.RestoreState(&decoded); err != nil {
+		t.Errorf("restore of a decoded state: %v", err)
+	}
+	decoded.FlashHash[0] ^= 1
+	if err := child.RestoreState(&decoded); !errors.Is(err, ErrImageMismatch) {
+		t.Errorf("restore of a decoded state of another image: %v, want ErrImageMismatch", err)
 	}
 
 	w := m.FlashWord(5)
 	if err := m.LoadFlash(5, []uint16{w ^ 1}); err != nil {
 		t.Fatal(err)
+	}
+	if m.img.Load() != nil {
+		t.Fatal("LoadFlash kept the frozen image")
+	}
+	if im.flash[0].v[5] != w || child.FlashWord(5) != w {
+		t.Fatal("LoadFlash wrote into the frozen image")
 	}
 	if err := m.RestoreState(st); !errors.Is(err, ErrImageMismatch) {
 		t.Errorf("restore onto a patched image: %v, want ErrImageMismatch", err)
@@ -227,15 +281,6 @@ func TestFlashDigestTracksImage(t *testing.T) {
 	}
 	if err := m.RestoreState(st); err != nil {
 		t.Fatalf("restore after undoing the patch: %v", err)
-	}
-
-	child := New()
-	child.AdoptImage(m)
-	if !child.digestOK || child.digest != st.FlashHash {
-		t.Error("AdoptImage did not inherit the parent's digest")
-	}
-	if err := child.RestoreState(st); err != nil {
-		t.Errorf("restore onto an adopted image: %v", err)
 	}
 }
 
@@ -327,12 +372,18 @@ func TestRestoreRejectsBadGeometry(t *testing.T) {
 }
 
 // TestAdoptImageCopyOnWrite: after AdoptImage the two machines share every
-// flash and micro-op page; a LoadFlash on the child must copy only the page
-// it writes, leave the parent's words and micro-ops untouched, and many
-// children must be able to adopt one parent and run concurrently.
+// flash and micro-op page and the translated blocks; a LoadFlash on the
+// child must copy only the page it writes, leave the parent's words,
+// micro-ops and blocks untouched, and many children must be able to adopt
+// one translated parent and run concurrently on its blocks.
 func TestAdoptImageCopyOnWrite(t *testing.T) {
 	parent := load(t, stateWorkSrc)
+	parent.SetTranslation(1)
 	wantUART, wantRadio, wantCycles, wantInsts := finishWork(t, parent)
+	parentXL := parent.TranslationStats()
+	if parentXL.Blocks == 0 {
+		t.Fatalf("parent run translated no blocks: %+v", parentXL)
+	}
 
 	child := New()
 	child.AdoptImage(parent)
@@ -377,6 +428,9 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 		parent.flash[0].v != flash0 || parent.uops[0].v != uops0 {
 		t.Error("LoadFlash on the child changed the parent's page 0")
 	}
+	if st := parent.TranslationStats(); st != parentXL {
+		t.Errorf("LoadFlash on the child changed the parent's blocks: %+v, want %+v", st, parentXL)
+	}
 
 	// Eight fresh children adopt the parent concurrently and run the image;
 	// each must finish exactly like the parent did (run under -race).
@@ -387,6 +441,7 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 		cycles uint64
 		insts  uint64
 		data   [DataSize]byte
+		xl     TranslationStats
 	}
 	res := make([]result, 8)
 	var wg sync.WaitGroup
@@ -404,8 +459,8 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 			m.fault = nil
 			m.AddCycles(UARTByteCycles + RadioByteCycles)
 			m.FlushDevices()
-			r.uart, r.radio, r.cycles, r.insts, r.data =
-				m.UARTOutput(), m.RadioOutput(), m.cycle, m.insts, m.data
+			r.uart, r.radio, r.cycles, r.insts, r.data, r.xl =
+				m.UARTOutput(), m.RadioOutput(), m.cycle, m.insts, m.data, m.TranslationStats()
 		}(&res[i])
 	}
 	wg.Wait()
@@ -418,9 +473,76 @@ func TestAdoptImageCopyOnWrite(t *testing.T) {
 			t.Errorf("adopter %d = %q/%d cycles/%d insts, want %q/%d/%d (or data/radio differ)",
 				i, r.uart, r.cycles, r.insts, wantUART, wantCycles, wantInsts)
 		}
+		// The parent translated every leader of this very run, so its
+		// adopters run on inherited blocks and build none.
+		if r.xl.Built != 0 || r.xl.Blocks != parentXL.Blocks || r.xl.FusedDispatches == 0 {
+			t.Errorf("adopter %d translation %+v, want the parent's %d blocks and none built",
+				i, r.xl, parentXL.Blocks)
+		}
 	}
 	if parent.flash[0] != parentFlash0 || parent.flash[0].v != flash0 || parent.uops[0].v != uops0 {
 		t.Error("concurrent adopters changed the parent's page 0")
+	}
+	if st := parent.TranslationStats(); st != parentXL {
+		t.Errorf("concurrent adopters changed the parent's blocks: %+v, want %+v", st, parentXL)
+	}
+}
+
+// TestAdoptImageIsolatesPatches: after AdoptImage parent and child share
+// their translated blocks, but a LoadFlash in either kills only its own
+// overlapping blocks: the patched machine runs the new code, the other one
+// keeps running the old code on the blocks it has — in both directions.
+func TestAdoptImageIsolatesPatches(t *testing.T) {
+	const src = `
+main:
+    ldi r16, 10
+    rjmp second
+second:
+    ldi r17, 20
+    break
+`
+	patch, err := asm.Assemble("patch", "ldi r17, 99")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, patchParent := range []bool{false, true} {
+		t.Run(fmt.Sprintf("patch parent %v", patchParent), func(t *testing.T) {
+			parent := load(t, src)
+			parent.SetTranslation(1)
+			parent.SetSP(0x10FF)
+			runUntilBreak(t, parent, 100_000)
+			child := New()
+			child.SetTranslation(1)
+			child.AdoptImage(parent)
+			if st := child.TranslationStats(); st.Blocks != 2 || st.Built != 0 {
+				t.Fatalf("child after AdoptImage: %+v, want the parent's 2 blocks and none built", st)
+			}
+			patched, kept := child, parent
+			if patchParent {
+				patched, kept = parent, child
+			}
+			keptXL := kept.TranslationStats()
+			if err := patched.LoadFlash(2, patch.Words); err != nil {
+				t.Fatal(err)
+			}
+			if st := patched.TranslationStats(); st.Blocks != 1 || st.Invalidations != 1 {
+				t.Errorf("patched machine %+v, want only the block at the patch killed", st)
+			}
+			if st := kept.TranslationStats(); st != keptXL {
+				t.Errorf("the patch changed the other machine's blocks: %+v, want %+v", st, keptXL)
+			}
+			reRun(t, patched)
+			reRun(t, kept)
+			if got := patched.Reg(17); got != 99 {
+				t.Errorf("patched machine: r17 = %d, want 99 (the new code)", got)
+			}
+			if got := kept.Reg(17); got != 20 {
+				t.Errorf("other machine: r17 = %d, want 20 (the old code)", got)
+			}
+			if st := kept.TranslationStats(); st.Built != keptXL.Built || st.Blocks != 2 {
+				t.Errorf("other machine %+v, want it to keep running its %d blocks", st, keptXL.Blocks)
+			}
+		})
 	}
 }
 

@@ -1,6 +1,9 @@
 package mcu
 
 import (
+	"slices"
+	"sync/atomic"
+
 	"repro/internal/avr"
 	"repro/internal/ioregs"
 )
@@ -51,9 +54,15 @@ import (
 //     cost of the iteration just run; a trap-closed loop repeats only as
 //     many services as the trap's repeater books. The iteration the
 //     precheck refuses runs on Step as before.
-//   - The block cache is derived state, like the micro-op cache: flash writes
-//     kill every overlapping block (LoadFlash), SetTrapHandler and
-//     AdoptImage/RestoreState flush it, and snapshots never carry it.
+//   - Erased flash (an absent page, which reads as one-word, one-cycle NOPs)
+//     is retired a page at a time, without decoding a word: the clock, PC
+//     and instruction count advance by the NOPs that start before the stop
+//     cycle, so the run lands where Step would.
+//   - The block cache is derived state, like the micro-op cache: a block
+//     depends only on the flash words it fused, so flash writes kill every
+//     overlapping block (LoadFlash), SetTrapHandler flushes the cache,
+//     RestoreState keeps it, AdoptImage shares the parent's copy-on-write,
+//     and snapshots never carry it.
 
 // DefaultTranslationThreshold is the number of control-transfer landings at
 // a PC before the block starting there is translated. Low enough that hot
@@ -198,11 +207,15 @@ type block struct {
 // translator is the per-machine block cache. idx maps each flash word to its
 // translation state: 0 = never landed on, negative = landing countdown
 // toward the threshold, xlDead = untranslatable, positive = 1-based index
-// into blocks. It is paged like flash (an absent page is all cold leaders)
-// and private to its machine (never shared by AdoptImage).
+// into blocks. It is paged like flash (an absent page is all cold leaders).
+// AdoptImage shares a parent's cache with the child: idx pages copy-on-write
+// like flash pages, and the block list (blocks and free) by its backing
+// arrays while shared holds, each side copying the list before its first
+// write to it. A block itself never changes once built.
 type translator struct {
 	blocks    []*block
 	free      []int32 // reusable nil slots in blocks (indices stay stable)
+	shared    atomic.Bool
 	threshold int32
 
 	built       uint64
@@ -210,6 +223,7 @@ type translator struct {
 	dispatches  uint64
 	fusedInsts  uint64
 	spinInsts   uint64
+	erasedInsts uint64
 	inBlock     uint64
 
 	idx [numPages]*page[int32]
@@ -219,23 +233,44 @@ func newTranslator(threshold int32) *translator {
 	return &translator{idx: erasedIdxTable, threshold: threshold}
 }
 
+// live returns the number of live blocks.
+func (x *translator) live() int { return len(x.blocks) - len(x.free) }
+
+// ownBlocks gives x a private copy of a shared block list before a write.
+func (x *translator) ownBlocks() {
+	if x.shared.Load() {
+		x.blocks, x.free = slices.Clone(x.blocks), slices.Clone(x.free)
+		x.shared.Store(false)
+	}
+}
+
+// adopt replaces x's blocks and landing counters by parent's, shared. The
+// blocks x had count as invalidated. parent is only read, apart from the
+// atomic marks, so many translators may adopt one parent concurrently.
+func (x *translator) adopt(parent *translator) {
+	x.invalidated += uint64(x.live())
+	if !parent.shared.Load() {
+		parent.shared.Store(true)
+	}
+	x.blocks, x.free = parent.blocks, parent.free
+	x.shared.Store(true)
+	for i, p := range parent.idx {
+		x.idx[i] = sharePage(p)
+	}
+}
+
 // at returns the translation state of the word at pc.
 func (x *translator) at(pc uint32) int32 { return x.idx[pageOf(pc)].v[pc%pageWords] }
 
 // set records the translation state of the word at pc.
 func (x *translator) set(pc uint32, e int32) { ownPage(&x.idx, pageOf(pc)).v[pc%pageWords] = e }
 
-// reset drops every block and landing counter (image swap, trap-handler
-// change, snapshot restore). Cumulative stats survive; live blocks count as
-// invalidated.
+// reset drops every block and landing counter (a trap-handler change).
+// Cumulative stats survive; live blocks count as invalidated.
 func (x *translator) reset() {
-	for _, b := range x.blocks {
-		if b != nil {
-			x.invalidated++
-		}
-	}
-	x.blocks = x.blocks[:0]
-	x.free = x.free[:0]
+	x.invalidated += uint64(x.live())
+	x.blocks, x.free = nil, nil
+	x.shared.Store(false)
 	x.idx = erasedIdxTable
 }
 
@@ -248,6 +283,7 @@ func (x *translator) reset() {
 func (x *translator) invalidate(base, end uint32) {
 	for i, b := range x.blocks {
 		if b != nil && b.leader < end && b.end > base {
+			x.ownBlocks()
 			x.set(b.leader, 0)
 			x.blocks[i] = nil
 			x.free = append(x.free, int32(i))
@@ -279,20 +315,24 @@ func (m *Machine) SetTranslation(threshold int) {
 // TranslationStats reports block-cache activity since the machine was
 // created (counters survive cache flushes).
 type TranslationStats struct {
-	// Blocks is the live translated-block count.
+	// Blocks is the live translated-block count, blocks inherited through
+	// AdoptImage included.
 	Blocks int
-	// Built counts blocks ever translated; Invalidations counts blocks
-	// killed by flash writes, image swaps, or snapshot restores.
+	// Built counts blocks this machine translated itself; Invalidations
+	// counts blocks killed by flash writes, image swaps, or trap-handler
+	// changes.
 	Built         uint64
 	Invalidations uint64
 	// FusedDispatches counts whole-block executions; FusedInsts counts the
-	// instructions retired inside them (the numerator of the fused-dispatch
-	// fraction against Instructions()), fast-forwarded poll iterations
-	// included. SpinInsts counts those fast-forwarded instructions alone:
-	// they retire without a dispatch.
+	// instructions the fused tier retired (the numerator of the
+	// fused-dispatch fraction against Instructions()): those inside the
+	// blocks, fast-forwarded poll iterations, and erased-flash NOPs.
+	// SpinInsts counts the poll iterations' instructions alone and
+	// ErasedInsts the NOPs alone: both retire without a dispatch.
 	FusedDispatches uint64
 	FusedInsts      uint64
 	SpinInsts       uint64
+	ErasedInsts     uint64
 	// InBlockTraps counts kernel traps whose service a trap terminator ran
 	// itself (serve) instead of entering the kernel.
 	InBlockTraps uint64
@@ -300,19 +340,14 @@ type TranslationStats struct {
 
 // TranslationStats returns the block-cache counters.
 func (m *Machine) TranslationStats() TranslationStats {
-	live := 0
-	for _, b := range m.xl.blocks {
-		if b != nil {
-			live++
-		}
-	}
 	return TranslationStats{
-		Blocks:          live,
+		Blocks:          m.xl.live(),
 		Built:           m.xl.built,
 		Invalidations:   m.xl.invalidated,
 		FusedDispatches: m.xl.dispatches,
 		FusedInsts:      m.xl.fusedInsts,
 		SpinInsts:       m.xl.spinInsts,
+		ErasedInsts:     m.xl.erasedInsts,
 		InBlockTraps:    m.xl.inBlock,
 	}
 }
@@ -824,12 +859,14 @@ func (b *block) nextPC(i int) uint32 {
 // brought the clock to the due cycle. Any other trap calls the handler
 // directly with everything flushed — exactly execKtrap — then re-checks the
 // ladder (halt=true: the caller must hand control back to the ladder).
-// Returns halt=false on a cold or dead leader or a block that does not fit:
-// RunUntil then Steps to the next control transfer.
+// A PC in erased flash retires the NOPs to the page end, or those that
+// start before stop, without a dispatch. Returns halt=false on a cold or
+// dead leader or a block that does not fit: RunUntil then Steps to the
+// next control transfer.
 func (m *Machine) runTranslated(limit uint64) (halt bool, err error) {
 	x := m.xl
 	sreg := m.data[addrSREG]
-	var done, fused, iters, served uint64
+	var done, fused, iters, served, erased uint64
 	var b *block
 	// The first cycle a block body must not reach. Fused ops cannot move
 	// dev.nextEvent or arm a hook, so stop stays valid across chained
@@ -841,6 +878,18 @@ loop:
 		pc := m.pc & (FlashWords - 1)
 		e := x.at(pc)
 		if e <= 0 {
+			if m.flash[pageOf(pc)] == erasedFlash {
+				if m.cycle >= stop {
+					m.data[addrSREG] = sreg
+					break
+				}
+				n := min(uint64(pageWords-pc%pageWords), stop-m.cycle)
+				m.cycle += n
+				m.pc = (pc + uint32(n)) & (FlashWords - 1)
+				done += n
+				erased += n
+				continue
+			}
 			if e == xlDead {
 				m.data[addrSREG] = sreg
 				break
@@ -858,6 +907,7 @@ loop:
 				break
 			}
 			x.built++
+			x.ownBlocks()
 			if n := len(x.free); n > 0 {
 				slot := x.free[n-1]
 				x.free = x.free[:n-1]
@@ -1399,6 +1449,7 @@ loop:
 	m.insts += done
 	x.dispatches += iters
 	x.fusedInsts += fused + done
+	x.erasedInsts += erased
 	x.inBlock += served
 	return halt, err
 }

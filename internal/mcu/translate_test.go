@@ -168,8 +168,8 @@ main:
 // TestAdoptImageDropsTranslatedBlocks extends the stale-pointer regression
 // coverage to the block cache: a machine that translated blocks against its
 // own image and then adopts another machine's image must not execute the old
-// image's fused blocks. (The shared uop cache is swapped by AdoptImage; the
-// private block cache must be flushed.)
+// image's fused blocks. (AdoptImage swaps the uop and block caches for the
+// parent's, here one with no blocks.)
 func TestAdoptImageDropsTranslatedBlocks(t *testing.T) {
 	child := load(t, `
 main:
@@ -206,11 +206,11 @@ main:
 	}
 }
 
-// TestRestoreStateDropsTranslatedBlocks: the block cache is derived state. A
-// restore target that already translated blocks (against a hash-identical
-// image, so they would even be usable) must still drop and rebuild them —
-// and the restored continuation must match the source machine's.
-func TestRestoreStateDropsTranslatedBlocks(t *testing.T) {
+// TestRestoreStateKeepsTranslatedBlocks: a block depends only on the flash
+// words it fused, which a restore does not change, so a restore target that
+// already translated blocks (against an equal image) keeps them — and the
+// restored continuation, running on them, matches the source machine's.
+func TestRestoreStateKeepsTranslatedBlocks(t *testing.T) {
 	src := load(t, stateWorkSrc)
 	src.SetTranslation(1)
 	if err := src.Run(5_000); err != nil {
@@ -225,20 +225,25 @@ func TestRestoreStateDropsTranslatedBlocks(t *testing.T) {
 	target := load(t, stateWorkSrc)
 	target.SetTranslation(1)
 	finishWork(t, target) // populate the block cache with a full prior run
-	if ts := target.TranslationStats(); ts.Blocks == 0 {
-		t.Fatalf("prior run translated no blocks: %+v", ts)
+	before := target.TranslationStats()
+	if before.Blocks == 0 {
+		t.Fatalf("prior run translated no blocks: %+v", before)
 	}
 	if err := target.RestoreState(st); err != nil {
 		t.Fatal(err)
 	}
-	if ts := target.TranslationStats(); ts.Blocks != 0 {
-		t.Fatalf("RestoreState left %d blocks live", ts.Blocks)
+	if ts := target.TranslationStats(); ts != before {
+		t.Fatalf("RestoreState changed the block cache: %+v, before %+v", ts, before)
 	}
 	target.ClearFault()
 	gotUART, _, gotCycles, gotInsts := finishWork(t, target)
 	if !bytes.Equal(gotUART, wantUART) || gotCycles != wantCycles || gotInsts != wantInsts {
 		t.Errorf("restored continuation = %q/%d cycles/%d insts, want %q/%d/%d",
 			gotUART, gotCycles, gotInsts, wantUART, wantCycles, wantInsts)
+	}
+	if ts := target.TranslationStats(); ts.Built != before.Built {
+		t.Errorf("restored continuation built %d blocks, want none (the kept ones cover it)",
+			ts.Built-before.Built)
 	}
 }
 
@@ -273,11 +278,14 @@ loop:
 `
 
 // FuzzBlockInvalidation loads the (position-independent) workload at a
-// random base, writes a random flash word mid-run, and requires that fused
-// execution (threshold 1) never diverges from the checked interpreter: both
-// see the patch at the same cycle boundary, both re-decode it, and both
-// finish in bit-identical state (or fail with the same fault at the same
-// point, when the patch corrupts the program). Bases near a page boundary
+// random base, forks the running machine mid-run (AdoptImage plus a restore,
+// so the fork inherits its parent's blocks), writes a random flash word in
+// the parent or the fork, and requires that fused execution (threshold 1)
+// never diverges from the checked interpreter: the patched machine sees the
+// patch at the same cycle boundary as a checked run patched there, re-decodes
+// it, and finishes in bit-identical state (or fails with the same fault at
+// the same point, when the patch corrupts the program); the other machine
+// finishes exactly like an unpatched checked run. Bases near a page boundary
 // split the loop across two pages, so patches land on either side of it.
 func FuzzBlockInvalidation(f *testing.F) {
 	p, err := asm.Assemble("fuzz-patch", fuzzPatchSrc)
@@ -286,48 +294,82 @@ func FuzzBlockInvalidation(f *testing.F) {
 	}
 	codeLen := uint32(len(p.Words))
 
-	f.Add(uint32(0), uint32(8), uint16(0x0000), uint32(500))  // NOP over a body op
-	f.Add(uint32(0), uint32(15), uint16(0x0204), uint32(800)) // STS operand word
-	f.Add(uint32(0), uint32(18), uint16(0xF7F1), uint32(300)) // rewrite the loop branch
-	f.Add(uint32(0), uint32(9), uint16(0x9508), uint32(1000)) // RET into the loop body
+	f.Add(uint32(0), uint32(8), uint16(0x0000), uint32(500), true)  // NOP over a body op
+	f.Add(uint32(0), uint32(15), uint16(0x0204), uint32(800), true) // STS operand word
+	f.Add(uint32(0), uint32(18), uint16(0xF7F1), uint32(300), true) // rewrite the loop branch
+	f.Add(uint32(0), uint32(9), uint16(0x9508), uint32(1000), true) // RET into the loop body
 	// The LDS at word 16 straddles words 0x00FF/0x0100; patch only its
 	// operand word, on the second page.
-	f.Add(uint32(0xFF-16), uint32(17), uint16(0x0204), uint32(800))
+	f.Add(uint32(0xFF-16), uint32(17), uint16(0x0204), uint32(800), true)
+	f.Add(uint32(0), uint32(8), uint16(0x0000), uint32(500), false) // patch the fork instead
+	f.Add(uint32(0xFF-16), uint32(17), uint16(0x0204), uint32(800), false)
 
-	f.Fuzz(func(t *testing.T, base, word uint32, val uint16, patchAt uint32) {
+	f.Fuzz(func(t *testing.T, base, word uint32, val uint16, patchAt uint32, patchParent bool) {
 		base %= 2 * pageWords
 		word = base + word%codeLen
-		// Stop both machines at the same mid-run cycle boundary, patch the
-		// same word, and run to completion.
+		// Stop every machine at the same mid-run cycle boundary, patch the
+		// same word in one of them, and run to completion.
 		patchCycle := 100 + uint64(patchAt%5000)
-		run := func(fused bool) (*Machine, error) {
+		start := func(stepwise bool) (*Machine, error) {
 			m := New()
 			if err := m.LoadFlash(base, p.Words); err != nil {
 				t.Fatal(err)
 			}
-			if fused {
-				m.SetTranslation(1)
-			} else {
+			if stepwise {
 				m.SetStepwise(true)
+			} else {
+				m.SetTranslation(1)
 			}
 			m.SetPC(base)
 			m.SetSP(0x10FF)
-			if err := m.Run(patchCycle); err != nil {
-				return m, err
+			return m, m.Run(patchCycle)
+		}
+		finish := func(m *Machine, patch bool) error {
+			if patch {
+				if err := m.LoadFlash(word, []uint16{val}); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if err := m.LoadFlash(word, []uint16{val}); err != nil {
-				t.Fatal(err)
+			return m.Run(100_000)
+		}
+		// same requires m, which stopped with err, to match a checked run
+		// patched (or not) at the boundary.
+		same := func(name string, m *Machine, err error, patch bool) {
+			t.Helper()
+			checked, errC := start(true)
+			if errC == nil {
+				errC = finish(checked, patch)
 			}
-			return m, m.Run(100_000)
+			if (errC == nil) != (err == nil) {
+				t.Fatalf("%s: divergent outcome: checked err=%v, fused err=%v", name, errC, err)
+			}
+			if errC != nil && errC.Error() != err.Error() {
+				t.Fatalf("%s: divergent fault: checked %v, fused %v", name, errC, err)
+			}
+			requireSameState(t, name, m, checked)
 		}
-		checked, errC := run(false)
-		fused, errF := run(true)
-		if (errC == nil) != (errF == nil) {
-			t.Fatalf("divergent outcome: checked err=%v, fused err=%v", errC, errF)
+		parent, err := start(false)
+		if err != nil {
+			same("fused-vs-checked", parent, err, false)
+			return
 		}
-		if errC != nil && errC.Error() != errF.Error() {
-			t.Fatalf("divergent fault: checked %v, fused %v", errC, errF)
+		st, err := parent.CaptureState()
+		if err != nil {
+			t.Fatal(err)
 		}
-		requireSameState(t, "fused-vs-checked", fused, checked)
+		fork := New()
+		fork.SetTranslation(1)
+		fork.AdoptImage(parent)
+		if err := fork.RestoreState(st); err != nil {
+			t.Fatal(err)
+		}
+		patched, kept := fork, parent
+		if patchParent {
+			patched, kept = parent, fork
+		}
+		errP := finish(patched, true)
+		errK := finish(kept, false)
+		same("patched-vs-checked", patched, errP, true)
+		same("unpatched-vs-checked", kept, errK, false)
 	})
 }

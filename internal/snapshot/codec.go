@@ -241,7 +241,12 @@ func (c *codec) machineState(st *mcu.MachineState) {
 	c.u64(&st.SampleEvery)
 	c.u64(&st.SampleNext)
 	c.u32(&st.CodeEnd)
-	c.raw(st.FlashHash[:])
+	// A captured state refers to its image; the wire carries the digest.
+	sum := st.ImageDigest()
+	c.raw(sum[:])
+	if c.decode {
+		st.FlashHash = sum
+	}
 
 	dv := &st.Dev
 	c.u64(&dv.NextEvent)

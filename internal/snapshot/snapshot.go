@@ -7,9 +7,11 @@
 // The program image is deliberately not part of a snapshot. Flash and the
 // predecoded micro-op cache are immutable while running, so a snapshot
 // carries only their SHA-256; a restore target deploys the same programs and
-// the hash check proves the images match. In-process, mcu.Machine.AdoptImage
-// lets a restored machine share the parent's arrays copy-on-write, so
-// fanning N variants out of one warm checkpoint does not copy flash N times.
+// the hash check proves the images match. In-process, a captured state
+// refers to the frozen image it was taken against, and mcu.Machine.AdoptImage
+// shares that image, its micro-ops and its translated blocks copy-on-write,
+// so a fork restores by image identity without hashing, and fanning N
+// variants out of one warm checkpoint does not copy flash N times.
 //
 // Wire format:
 //
@@ -105,16 +107,18 @@ func Encode(st *State) ([]byte, error) {
 	if st == nil || st.Machine == nil || st.Kernel == nil {
 		return nil, fmt.Errorf("snapshot: encode: machine and kernel state are required")
 	}
-	var c codec
+	// The payload is appended once, behind a reserved header that is filled
+	// in when its length and hash are known. The data segment is most of a
+	// node's state, so twice its size holds a typical snapshot unregrown.
+	c := codec{b: make([]byte, headerSize, headerSize+2*mcu.DataSize)}
 	c.state(st)
-	payload := c.b
-	out := make([]byte, 0, headerSize+len(payload))
-	out = append(out, magic...)
-	out = le.AppendUint32(out, SchemaVersion)
-	out = le.AppendUint64(out, uint64(len(payload)))
-	sum := sha256.Sum256(payload)
-	out = append(out, sum[:]...)
-	return append(out, payload...), nil
+	out := c.b
+	copy(out, magic)
+	le.PutUint32(out[4:], SchemaVersion)
+	le.PutUint64(out[8:], uint64(len(out)-headerSize))
+	sum := sha256.Sum256(out[headerSize:])
+	copy(out[16:headerSize], sum[:])
+	return out, nil
 }
 
 // Decode parses and validates a blob produced by Encode. It returns a typed

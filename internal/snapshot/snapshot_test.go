@@ -412,6 +412,21 @@ func TestV1BlobRejected(t *testing.T) {
 	}
 }
 
+// TestEncodeAllocations: Encode appends the payload once, behind the header
+// it reserves and fills in afterwards, so encoding the golden state makes
+// the blob and at most one regrowth of it.
+func TestEncodeAllocations(t *testing.T) {
+	st := testState()
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Encode(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Errorf("Encode of the golden state allocates %.0f times, want at most 2", allocs)
+	}
+}
+
 // TestGoldenFormat pins the exact wire bytes of the synthetic state. Any
 // codec change that redefines the format breaks this test and must come with
 // a SchemaVersion bump and a regenerated golden (go test -run Golden
