@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"testing"
 
+	"repro/internal/mcu"
+	"repro/internal/progs"
 	"repro/internal/snapshot"
 )
 
@@ -84,4 +86,42 @@ func FuzzRestore(f *testing.F) {
 		// A hostile state may end the run in an error; only a panic fails.
 		_ = fork.Run(fork.Machine().Cycles() + 10_000)
 	})
+}
+
+// TestSnapshotEncodesInOneAllocation: a snapshot of the seven kernel
+// benchmarks 8 M cycles into their run, the node the seek benchmark saves,
+// encodes in one allocation, although its radio log has grown it past twice
+// the data segment: snapshot.Encode sizes its buffer for the device logs.
+func TestSnapshotEncodesInOneAllocation(t *testing.T) {
+	sys := NewSystem()
+	for _, kb := range progs.KernelBenchmarks() {
+		if _, err := sys.Deploy(kb.Program); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.Boot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sys.Run(8_000_000); err != nil {
+		t.Fatal(err)
+	}
+	st, err := sys.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	blob, err := snapshot.Encode(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(blob) <= snapshotHeader+2*mcu.DataSize {
+		t.Fatalf("the snapshot is %d bytes; it must outgrow twice the data segment to prove anything", len(blob))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := snapshot.Encode(st); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 1 {
+		t.Errorf("encoding a %d-byte snapshot allocates %.0f times, want 1", len(blob), allocs)
+	}
 }

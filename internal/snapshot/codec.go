@@ -222,6 +222,9 @@ func (c *codec) state(st *State) {
 
 // --- mcu ---
 
+// radioFrameSize is a radio frame's wire size: its byte and its cycle.
+const radioFrameSize = 1 + 8
+
 func (c *codec) machineState(st *mcu.MachineState) {
 	c.bytes(&st.Data)
 	c.u32(&st.PC)
@@ -263,7 +266,7 @@ func (c *codec) machineState(st *mcu.MachineState) {
 	c.u64(&dv.RadioBusyUntil)
 	c.u8(&dv.RadioPendingB)
 	c.bool(&dv.RadioPending)
-	for i := range list(c, &dv.RadioOut, 9) {
+	for i := range list(c, &dv.RadioOut, radioFrameSize) {
 		f := &dv.RadioOut[i]
 		c.u8(&f.Byte)
 		c.u64(&f.Cycle)

@@ -108,9 +108,8 @@ func Encode(st *State) ([]byte, error) {
 		return nil, fmt.Errorf("snapshot: encode: machine and kernel state are required")
 	}
 	// The payload is appended once, behind a reserved header that is filled
-	// in when its length and hash are known. The data segment is most of a
-	// node's state, so twice its size holds a typical snapshot unregrown.
-	c := codec{b: make([]byte, headerSize, headerSize+2*mcu.DataSize)}
+	// in when its length and hash are known.
+	c := codec{b: make([]byte, headerSize, headerSize+sizeHint(st.Machine))}
 	c.state(st)
 	out := c.b
 	copy(out, magic)
@@ -119,6 +118,18 @@ func Encode(st *State) ([]byte, error) {
 	sum := sha256.Sum256(out[headerSize:])
 	copy(out[16:headerSize], sum[:])
 	return out, nil
+}
+
+// sizeHint is the room Encode reserves for a payload. Most of a payload is
+// the data segment and the device logs, which grow with the run: the seek
+// benchmark's saves of a seven-task node are 7.1 to 17.4 KB, up to 10 KB of
+// it radio frames. The hint adds as much again as the data segment for the
+// kernel and machine records (2.6 KB with seven tasks), so such a snapshot
+// encodes without regrowing; observer logs are not counted, and a traced
+// snapshot may regrow.
+func sizeHint(m *mcu.MachineState) int {
+	dv := &m.Dev
+	return 2*len(m.Data) + len(dv.UARTOut) + radioFrameSize*len(dv.RadioOut) + len(dv.RadioIn)
 }
 
 // Decode parses and validates a blob produced by Encode. It returns a typed

@@ -413,8 +413,10 @@ func TestV1BlobRejected(t *testing.T) {
 }
 
 // TestEncodeAllocations: Encode appends the payload once, behind the header
-// it reserves and fills in afterwards, so encoding the golden state makes
-// the blob and at most one regrowth of it.
+// it reserves and fills in afterwards, so encoding the golden state
+// allocates the blob alone. (core.TestSnapshotEncodesInOneAllocation does
+// the same for a real seven-task snapshot whose radio log outgrows the
+// data segment.)
 func TestEncodeAllocations(t *testing.T) {
 	st := testState()
 	allocs := testing.AllocsPerRun(20, func() {
@@ -422,8 +424,8 @@ func TestEncodeAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 2 {
-		t.Errorf("Encode of the golden state allocates %.0f times, want at most 2", allocs)
+	if allocs > 1 {
+		t.Errorf("Encode of the golden state allocates %.0f times, want 1", allocs)
 	}
 }
 
